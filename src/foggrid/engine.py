@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -40,6 +41,7 @@ from .billing import (
     SessionState,
 )
 from .energy import BessState, EnergyLedger, MicrogridMode, accrue_energy, mode_transition
+from .errors import FogGridError
 from .messages import (
     DEFAULT_CLASSIFICATION,
     IDENTITY_TOKEN,
@@ -67,6 +69,11 @@ _PURPOSE_SERVICE = 0
 _PURPOSE_ARRIVAL = 1
 
 _DIGEST_FLUSH = 4096
+
+
+class InvalidRunConfig(FogGridError, ValueError):
+    """A RunConfig breaks an engine precondition: the horizon, warmup,
+    hop delay, an arrival rate or a message size is out of range."""
 
 
 class EventKind(Enum):
@@ -361,10 +368,13 @@ class _Engine:
                 raise UnknownNode(
                     f"arrival process targets unknown node {proc.target}"
                 )
-            if proc.rate_per_s < 0:
-                raise ValueError("arrival rate must be nonnegative")
+            if not (math.isfinite(proc.rate_per_s) and proc.rate_per_s >= 0):
+                raise InvalidRunConfig(
+                    "arrival rate must be finite and nonnegative, "
+                    f"got {proc.rate_per_s!r}"
+                )
             if proc.size_bytes <= 0:
-                raise ValueError("message size must be positive")
+                raise InvalidRunConfig("message size must be positive")
             k = per_node_index.get(proc.target, 0)
             per_node_index[proc.target] = k + 1
             if proc.rate_per_s > 0:
@@ -651,14 +661,18 @@ class _Engine:
 
     def run(self) -> SimResult:
         cfg = self.cfg
-        if not (cfg.horizon_s > 0):
-            raise ValueError(f"horizon_s must be positive, got {cfg.horizon_s!r}")
+        if not (math.isfinite(cfg.horizon_s) and cfg.horizon_s > 0):
+            raise InvalidRunConfig(
+                f"horizon_s must be finite and positive, got {cfg.horizon_s!r}"
+            )
         if not (0 <= cfg.warmup_s < cfg.horizon_s):
-            raise ValueError(
+            raise InvalidRunConfig(
                 f"warmup_s must satisfy 0 <= warmup < horizon, got {cfg.warmup_s!r}"
             )
-        if cfg.hop_delay_s < 0:
-            raise ValueError("hop_delay_s must be nonnegative")
+        if not (math.isfinite(cfg.hop_delay_s) and cfg.hop_delay_s >= 0):
+            raise InvalidRunConfig(
+                f"hop_delay_s must be finite and nonnegative, got {cfg.hop_delay_s!r}"
+            )
         violations = validate_topology(self.topo)
         if violations:
             raise InvalidTopology(violations)

@@ -22,12 +22,21 @@ checks (DanglingReference) and structural topology checks
 (InvalidTopology) run only once the schema is clean, so their messages
 can assume well-typed fields.
 
+Documents load through PyYAML's libyaml-backed ``CSafeLoader`` when the
+installed PyYAML was built with libyaml, and through the pure-Python
+``SafeLoader`` otherwise. Both apply the same safe constructors and YAML
+1.1 resolver, so they build equal documents; only the wording of an
+invalid-YAML message differs (libyaml's, e.g. "did not find expected ','
+or ']'"), while its line and column are the same.
+
 YAML 1.1 quirk worth knowing: ``1e6`` reads as a string, not a float.
-Write ``1000000`` or ``1.0e+6``.
+Write ``1000000`` or ``1.0e+6``. Numbers must be finite: ``.inf`` and
+``.nan`` are rejected wherever a number is expected.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
@@ -78,6 +87,9 @@ _DEFAULT_SPEC = {
     Tier.FOG: default_fog_spec,
     Tier.CLOUD: default_cloud_spec,
 }
+
+#: The libyaml-backed safe loader where PyYAML has it; same documents.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _SPEC_KEYS = ("cpu_mhz", "cores", "memory_mb", "power_active_mw", "power_idle_mw")
 
@@ -160,7 +172,13 @@ class _Reader:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             self.fail(f"{path}.{key}", f"expected a number, got {v!r}")
             return default
-        v = float(v)
+        try:
+            v = float(v)
+        except OverflowError:  # an integer beyond the float range
+            v = math.inf
+        if not math.isfinite(v):
+            self.fail(f"{path}.{key}", f"must be finite, got {v}")
+            return default
         if minimum is not None:
             if exclusive and v <= minimum:
                 self.fail(f"{path}.{key}", f"must be > {minimum}, got {v}")
@@ -255,7 +273,7 @@ def parse_config(text: str) -> ScenarioConfig:
     every problem found at its stage.
     """
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = (
@@ -265,6 +283,11 @@ def parse_config(text: str) -> ScenarioConfig:
         )
         detail = getattr(exc, "problem", None) or str(exc)
         raise SchemaError([f"{where}: invalid YAML ({detail})"]) from None
+    except UnicodeEncodeError as exc:
+        # libyaml reads UTF-8, which cannot carry a lone surrogate.
+        raise SchemaError(
+            [f"document: invalid YAML (unencodable character at {exc.start})"]
+        ) from None
     return _build(doc)
 
 
@@ -272,7 +295,7 @@ def load_config(path) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError([f"cannot read config file: {exc}"]) from None
     return parse_config(text)
 
@@ -553,9 +576,9 @@ def with_overrides(
             raise SchemaError([f"seed override: must fit in 64 bits, got {seed}"])
         rc = replace(rc, seed=seed)
     if horizon_s is not None:
-        if horizon_s <= 0:
+        if not (math.isfinite(horizon_s) and horizon_s > 0):
             raise SchemaError(
-                [f"horizon override: must be > 0, got {horizon_s}"]
+                [f"horizon override: must be finite and > 0, got {horizon_s}"]
             )
         if sc.warmup_explicit:
             if rc.warmup_s >= horizon_s:

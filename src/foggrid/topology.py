@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from functools import cached_property
 from typing import Optional
 
 from .errors import FogGridError
@@ -143,34 +144,47 @@ class Node:
 
 @dataclass(frozen=True)
 class Topology:
-    """A validated-or-not snapshot of the whole network."""
+    """A validated-or-not snapshot of the whole network.
+
+    Node lookups go through two indexes built on first use and kept for
+    the life of the instance (the fields are immutable, so they never go
+    stale). The dict returned by :meth:`by_id` is shared: do not mutate it.
+    """
 
     nodes: tuple[Node, ...]
     fog_links: frozenset[frozenset[NodeId]] = field(default_factory=frozenset)
     mode: Mode = Mode.FOG_AUGMENTED
     cloud_id: NodeId = -1
 
-    def node(self, node_id: NodeId) -> Node:
+    @cached_property
+    def _by_id(self) -> dict[NodeId, Node]:
+        return {n.id: n for n in self.nodes}
+
+    @cached_property
+    def _fog_by_area(self) -> dict[FogAreaId, Node]:
+        # The first gateway of an area serves it; validate_topology
+        # reports an area with more than one.
+        index: dict[FogAreaId, Node] = {}
         for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(f"no node with id {node_id}")
+            if n.tier is Tier.FOG:
+                index.setdefault(n.area, n)
+        return index
+
+    def node(self, node_id: NodeId) -> Node:
+        try:
+            return self._by_id[node_id]
+        except KeyError:
+            raise KeyError(f"no node with id {node_id}") from None
 
     def by_id(self) -> dict[NodeId, Node]:
-        return {n.id: n for n in self.nodes}
+        return self._by_id
 
     def fog_nodes(self) -> list[Node]:
         return [n for n in self.nodes if n.tier is Tier.FOG]
 
-    def device_nodes(self) -> list[Node]:
-        return [n for n in self.nodes if n.tier is Tier.DEVICE]
-
     def fog_for_area(self, area: FogAreaId) -> Optional[Node]:
         """The fog gateway serving ``area``, or None if the area has none."""
-        for n in self.nodes:
-            if n.tier is Tier.FOG and n.area == area:
-                return n
-        return None
+        return self._fog_by_area.get(area)
 
     def has_fog_link(self, a: NodeId, b: NodeId) -> bool:
         return frozenset((a, b)) in self.fog_links

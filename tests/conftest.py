@@ -27,6 +27,31 @@ from foggrid import (
 
 CLOUD_ID = 0
 
+#: The scenario fields a non-finite number must not slip through.
+FINITE_FIELDS = ("horizon_s", "warmup_s", "rate_per_s")
+#: YAML spellings of the IEEE non-finite values.
+NONFINITE_YAML = (".inf", "-.inf", ".nan")
+
+
+def finite_field_scenario(field: str = "", value: str = "") -> str:
+    """A valid one-area scenario; ``field`` (one of FINITE_FIELDS), if
+    given, is written as the raw YAML scalar ``value``."""
+    values = {"horizon_s": "100.0", "warmup_s": "1.0", "rate_per_s": "0.5"}
+    if field:
+        values[field] = value
+    return (
+        f"run: {{horizon_s: {values['horizon_s']}, warmup_s: {values['warmup_s']}}}\n"
+        "topology:\n"
+        "  nodes:\n"
+        "    - {id: 0, tier: cloud}\n"
+        "    - {id: 1, tier: fog, area: 0}\n"
+        "    - {id: 2, tier: device, area: 0}\n"
+        "workload:\n"
+        "  arrival_processes:\n"
+        f"    - {{rate_per_s: {values['rate_per_s']}, target: 2, "
+        "payload_kind: GridTelemetry, size_bytes: 64}\n"
+    )
+
 
 def fog_node(node_id: int, area: int, rate: float = 1.0) -> Node:
     return Node(

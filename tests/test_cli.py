@@ -1,10 +1,14 @@
 """Command-line surface: subcommands, output routing, and exit codes."""
 
+import dataclasses
 import textwrap
 
 import pytest
+from conftest import FINITE_FIELDS, NONFINITE_YAML, finite_field_scenario
 
+import foggrid.cli
 from foggrid.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from foggrid.scenario import load_config
 
 SCENARIO = textwrap.dedent(
     """
@@ -133,6 +137,38 @@ class TestRun:
         assert "seed: 123" in summary
         assert "horizon_s: 5000" in summary
         assert "warmup_s: 50" in summary  # default 1% follows the override
+
+    @pytest.mark.parametrize("value", NONFINITE_YAML)
+    @pytest.mark.parametrize("field", FINITE_FIELDS)
+    def test_nonfinite_config_is_config_error(self, field, value, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(finite_field_scenario(field, value), encoding="utf-8")
+        for command in ("validate", "run"):
+            assert main([command, str(bad)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("SchemaError:")
+            assert f".{field}: must be finite" in err
+
+    @pytest.mark.parametrize("horizon", ["inf", "-inf", "nan"])
+    def test_nonfinite_horizon_override(self, scenario_file, horizon, capsys):
+        code = main(["run", str(scenario_file), f"--horizon={horizon}"])
+        assert code == EXIT_CONFIG
+        assert "horizon override: must be finite" in capsys.readouterr().err
+
+    def test_engine_precondition_is_runtime_error(
+        self, scenario_file, monkeypatch, capsys
+    ):
+        # Parsing rejects every such config, so hand the engine one
+        # directly: a negative hop delay.
+        def load_broken(path):
+            sc = load_config(path)
+            rc = dataclasses.replace(sc.run_config, hop_delay_s=-1.0)
+            return dataclasses.replace(sc, run_config=rc)
+
+        monkeypatch.setattr(foggrid.cli, "load_config", load_broken)
+        assert main(["run", str(scenario_file)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("InvalidRunConfig: hop_delay_s must be")
 
     def test_bad_seed_override(self, scenario_file, capsys):
         assert main(["run", str(scenario_file), "--seed", "-1"]) == EXIT_CONFIG

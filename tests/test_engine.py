@@ -12,6 +12,8 @@ from foggrid import (
     BessChargeEntry,
     BessState,
     EventKind,
+    FogGridError,
+    InvalidRunConfig,
     InvalidTopology,
     MeterIdentity,
     MicrogridMode,
@@ -547,6 +549,37 @@ class TestConfigValidation:
     def test_negative_hop_delay(self):
         with pytest.raises(ValueError):
             foggrid.run(one_area_config(hop_delay_s=-0.5))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(horizon_s=0.0),
+            dict(horizon_s=float("inf"), warmup_s=0.0),
+            dict(horizon_s=float("nan")),
+            dict(warmup_s=-1.0),
+            dict(warmup_s=float("nan")),
+            dict(hop_delay_s=-0.5),
+            dict(hop_delay_s=float("nan")),
+            dict(hop_delay_s=float("inf")),
+        ],
+        ids=repr,
+    )
+    def test_preconditions_raise_typed_error(self, overrides):
+        with pytest.raises(InvalidRunConfig) as exc:
+            foggrid.run(one_area_config(**overrides))
+        assert isinstance(exc.value, FogGridError)
+        assert isinstance(exc.value, ValueError)
+
+    @pytest.mark.parametrize(
+        "rate, size",
+        [(-1.0, 64), (float("inf"), 64), (float("nan"), 64), (1.0, 0)],
+    )
+    def test_bad_arrival_process_raises_typed_error(self, rate, size):
+        proc = ArrivalProcess(
+            rate_per_s=rate, target=2, payload_kind=GRID_TELEMETRY, size_bytes=size
+        )
+        with pytest.raises(InvalidRunConfig):
+            foggrid.run(one_area_config(arrival_processes=(proc,)))
 
     def test_unknown_arrival_target(self):
         cfg = one_area_config(

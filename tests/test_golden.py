@@ -1,0 +1,235 @@
+"""Golden outputs: pinned trace digests and summary.txt bytes.
+
+Each scenario below is small enough to run in well under a second. The
+pinned values were produced by the code as it stood before the topology
+index and the native YAML loader went in; a change that alters any of
+them changes simulation results and needs a documented reason, not a new
+pin. Together the scenarios cover the route patterns ComA, ComB, ComC,
+ComD and CloudDirect, both modes, a nonzero hop delay, sealed
+MeterReading traffic, billed and rejected sessions, and a battery top-up
+that is curtailed at capacity.
+"""
+
+import textwrap
+
+import pytest
+
+from foggrid import Mode, RoutePattern, parse_config, run
+from foggrid.cli import EXIT_OK, main
+
+_TOPOLOGY = """
+topology:
+  mode: {mode}
+  nodes:
+    - {{id: 0, tier: cloud, service_rate_per_s: 0.5}}
+    - {{id: 1, tier: fog, area: 0, service_rate_per_s: 0.8}}
+    - {{id: 2, tier: fog, area: 1, service_rate_per_s: 0.8}}
+    - {{id: 3, tier: fog, area: 2, service_rate_per_s: 0.8}}
+    - {{id: 4, tier: device, area: 0}}
+    - {{id: 5, tier: device, area: 0, account: alice}}
+    - {{id: 6, tier: device, area: 1}}
+    - {{id: 7, tier: device, area: 1}}
+    - {{id: 8, tier: device, area: 2}}
+  fog_links:
+    - [1, 2]
+"""
+
+# Outlet 4 reaches meter 5 in its own area (ComA), meter 6 over the fog
+# link (ComC) and meter 8 through the cloud (ComD); ev-home charges at its
+# own meter and ev-ghost is not registered. Telemetry from meter 4 climbs
+# to its gateway (ComB).
+_ROAMING = """
+workload:
+  arrival_processes:
+    - {rate_per_s: 0.05, target: 4, payload_kind: GridTelemetry, size_bytes: 64}
+    - {rate_per_s: 0.04, target: 6, payload_kind: MeterReading, size_bytes: 128}
+    - {rate_per_s: 0.03, target: 8, payload_kind: MeterReading, size_bytes: 96}
+    - {rate_per_s: 0.02, target: 0, payload_kind: GridTelemetry, size_bytes: 32}
+  vehicle_registry:
+    ev-local: {meter: 5}
+    ev-linked: {meter: 6, account: bob}
+    ev-far: {meter: 8}
+    ev-home: {meter: 4}
+  sessions:
+    - {vehicle_id: ev-local, outlet_meter: 4, start_s: 100.0, energy_kwh: 3.5, duration_s: 60.0}
+    - {vehicle_id: ev-linked, outlet_meter: 4, start_s: 250.0, energy_kwh: 7.25, duration_s: 120.0}
+    - {vehicle_id: ev-far, outlet_meter: 4, start_s: 400.0, energy_kwh: 12.0, duration_s: 90.0}
+    - {vehicle_id: ev-home, outlet_meter: 4, start_s: 550.0, energy_kwh: 2.0, duration_s: 30.0}
+    - {vehicle_id: ev-ghost, outlet_meter: 5, start_s: 700.0, energy_kwh: 5.0, duration_s: 30.0}
+    - {vehicle_id: ev-far, outlet_meter: 7, start_s: 900.0, energy_kwh: 4.5, duration_s: 45.0}
+"""
+
+SCENARIOS = {
+    "fog-roaming": "run: {seed: 11, horizon_s: 2000.0, warmup_s: 50.0}\n"
+    + _TOPOLOGY.format(mode="fog-augmented")
+    + _ROAMING
+    + "models:\n  hop_delay_s: 0.25\n  tariff_per_kwh: 0.31\n",
+    "cloud-roaming": "run: {seed: 11, horizon_s: 2000.0}\n"
+    + _TOPOLOGY.format(mode="cloud-only")
+    + _ROAMING
+    + "models:\n  hop_delay_s: 0.25\n",
+    # Islanded: the 50 s top-up stores 4.5 kWh into 1 kWh of headroom, so
+    # after ev-a takes 6 kWh the battery holds 4 kWh and ev-b (7 kWh) is
+    # rejected. Without the curtailment ev-b would be billed.
+    "island-bess": textwrap.dedent(
+        """
+        run: {seed: 3, horizon_s: 1500.0}
+        topology:
+          nodes:
+            - {id: 0, tier: cloud, service_rate_per_s: 0.4}
+            - {id: 1, tier: fog, area: 0, service_rate_per_s: 0.9}
+            - {id: 2, tier: device, area: 0}
+            - {id: 3, tier: device, area: 0}
+            - {id: 4, tier: device, area: 0}
+        workload:
+          arrival_processes:
+            - {rate_per_s: 0.1, target: 2, payload_kind: MeterReading, size_bytes: 200}
+            - {rate_per_s: 0.05, target: 3, payload_kind: GridTelemetry, size_bytes: 64}
+          vehicle_registry:
+            ev-a: {meter: 3}
+            ev-b: {meter: 4}
+          sessions:
+            - {vehicle_id: ev-a, outlet_meter: 2, start_s: 100.0, energy_kwh: 6.0, duration_s: 40.0}
+            - {vehicle_id: ev-b, outlet_meter: 2, start_s: 300.0, energy_kwh: 7.0, duration_s: 40.0}
+            - {vehicle_id: ev-a, outlet_meter: 4, start_s: 500.0, energy_kwh: 3.0, duration_s: 20.0}
+        models:
+          grid_available: false
+          bess: {capacity_kwh: 10.0, soc_kwh: 9.0, efficiency: 0.9}
+          bess_charge_schedule:
+            - {at_s: 50.0, energy_kwh: 5.0}
+            - {at_s: 800.0, energy_kwh: 1.0}
+          tariff_per_kwh: 0.25
+        """
+    ),
+    # One M/M/1 gateway at rho about 0.58; no sessions, no hop delay.
+    "single-queue": textwrap.dedent(
+        """
+        run: {seed: 5, horizon_s: 5000.0}
+        topology:
+          nodes:
+            - {id: 0, tier: cloud, service_rate_per_s: 0.02198581560283688}
+            - {id: 1, tier: fog, area: 0, service_rate_per_s: 0.02857142857142857}
+            - {id: 2, tier: device, area: 0}
+        workload:
+          arrival_processes:
+            - {rate_per_s: 0.016666666666666666, target: 2, payload_kind: GridTelemetry, size_bytes: 64}
+        """
+    ),
+}
+
+GOLDEN_SUMMARY = {
+    "fog-roaming": """\
+mode: fog-augmented
+seed: 11
+horizon_s: 2000
+warmup_s: 50
+nodes: 9
+messages_generated: 291
+messages_delivered: 291
+mean_wait_s: 1.45469
+total_energy_mj: 101393
+total_message_bytes: 25408
+nlogn_processing_ms: 371795
+sessions_total: 6
+sessions_billed: 5
+energy_delivered_kwh: 29.25
+amount_billed: 9.0675
+trace_digest: d7bc002b5504dab8
+events: 1181
+""",
+    "cloud-roaming": """\
+mode: cloud-only
+seed: 11
+horizon_s: 2000
+warmup_s: 20
+nodes: 9
+messages_generated: 291
+messages_delivered: 291
+mean_wait_s: 2.80504
+total_energy_mj: 288264
+total_message_bytes: 25408
+nlogn_processing_ms: 371795
+sessions_total: 6
+sessions_billed: 5
+energy_delivered_kwh: 29.25
+amount_billed: 5.85
+trace_digest: 099610840cd897f3
+events: 1157
+""",
+    "island-bess": """\
+mode: fog-augmented
+seed: 3
+horizon_s: 1500
+warmup_s: 15
+nodes: 5
+messages_generated: 249
+messages_delivered: 249
+mean_wait_s: 1.4613
+total_energy_mj: 56616.4
+total_message_bytes: 38976
+nlogn_processing_ms: 594396
+sessions_total: 3
+sessions_billed: 2
+energy_delivered_kwh: 9
+amount_billed: 2.25
+trace_digest: 94b9fb86ff04a3f4
+events: 996
+""",
+    "single-queue": """\
+mode: fog-augmented
+seed: 5
+horizon_s: 5000
+warmup_s: 50
+nodes: 3
+messages_generated: 91
+messages_delivered: 91
+mean_wait_s: 53.7725
+total_energy_mj: 599433
+total_message_bytes: 5824
+nlogn_processing_ms: 72845.4
+sessions_total: 0
+sessions_billed: 0
+energy_delivered_kwh: 0
+amount_billed: 0
+trace_digest: a93fbce729e3286a
+events: 364
+""",
+}
+
+GOLDEN_DIGEST = {
+    "fog-roaming": "d7bc002b5504dab8",
+    "cloud-roaming": "099610840cd897f3",
+    "island-bess": "94b9fb86ff04a3f4",
+    "single-queue": "a93fbce729e3286a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_trace_digest(name):
+    result = run(parse_config(SCENARIOS[name]).run_config)
+    assert result.trace.digest == GOLDEN_DIGEST[name]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_summary_bytes(name, tmp_path, capsys):
+    config = tmp_path / "scenario.yaml"
+    config.write_text(SCENARIOS[name], encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == EXIT_OK
+    assert f"trace_digest: {GOLDEN_DIGEST[name]}" in capsys.readouterr().out
+    assert (out / "summary.txt").read_bytes() == GOLDEN_SUMMARY[name].encode()
+
+
+def test_scenarios_cover_every_session_route():
+    patterns = set()
+    for name in ("fog-roaming", "cloud-roaming"):
+        for session in run(parse_config(SCENARIOS[name]).run_config).sessions:
+            patterns.add(session.route_pattern)
+    assert {
+        RoutePattern.COM_A,
+        RoutePattern.COM_C,
+        RoutePattern.COM_D,
+        RoutePattern.CLOUD_DIRECT,
+    } <= patterns
+    modes = {parse_config(s).run_config.topology.mode for s in SCENARIOS.values()}
+    assert modes == {Mode.CLOUD_ONLY, Mode.FOG_AUGMENTED}

@@ -3,6 +3,9 @@
 import textwrap
 
 import pytest
+import yaml
+from conftest import FINITE_FIELDS, NONFINITE_YAML, finite_field_scenario
+from test_golden import SCENARIOS as GOLDEN_SCENARIOS
 
 from foggrid import (
     DEFAULT_WARMUP_FRACTION,
@@ -19,6 +22,7 @@ from foggrid import (
     with_mode,
     with_overrides,
 )
+from foggrid.scenario import _LOADER
 
 MINIMAL = textwrap.dedent(
     """
@@ -263,6 +267,104 @@ class TestSchemaErrors:
         assert any("pair" in p for p in problems_of(exc))
 
 
+class TestFiniteNumbers:
+    @pytest.mark.parametrize("value", NONFINITE_YAML)
+    @pytest.mark.parametrize("field", FINITE_FIELDS)
+    def test_nonfinite_rejected(self, field, value):
+        with pytest.raises(SchemaError) as exc:
+            parse_config(finite_field_scenario(field, value))
+        assert any(
+            f".{field}: must be finite" in p for p in problems_of(exc)
+        ), problems_of(exc)
+
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(SchemaError) as exc:
+            parse_config(finite_field_scenario("horizon_s", "1" + "0" * 400))
+        assert any("run.horizon_s: must be finite" in p for p in problems_of(exc))
+
+    def test_finite_values_accepted(self):
+        rc = parse_config(finite_field_scenario()).run_config
+        assert (rc.horizon_s, rc.warmup_s) == (100.0, 1.0)
+        assert rc.arrival_processes[0].rate_per_s == 0.5
+
+
+# YAML 1.1 scalars whose reading differs from YAML 1.2 or JSON.
+YAML_QUIRKS = textwrap.dedent(
+    """
+    sci: 1e6
+    sci_signed: 1.0e+6
+    inf: .inf
+    neg_inf: -.inf
+    yes: yes
+    off: off
+    octal: 017
+    hex: 0x1F
+    binary: 0b101
+    sexagesimal: 1:20
+    underscore: 1_000
+    date: 2001-12-14
+    null_tilde: ~
+    """
+)
+
+
+class TestLoader:
+    def test_uses_libyaml_when_available(self):
+        expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert _LOADER is expected
+
+    @pytest.mark.parametrize(
+        "text",
+        [MINIMAL, FULL, YAML_QUIRKS, *GOLDEN_SCENARIOS.values()],
+        ids=["minimal", "full", "quirks", *GOLDEN_SCENARIOS],
+    )
+    def test_same_documents_as_safe_loader(self, text):
+        doc = yaml.load(text, Loader=_LOADER)
+        assert doc == yaml.load(text, Loader=yaml.SafeLoader)
+        assert type(doc) is dict
+
+    def test_quirks_keep_their_yaml_1_1_types(self):
+        doc = yaml.load(YAML_QUIRKS, Loader=_LOADER)
+        assert doc["sci"] == "1e6"
+        assert doc["sci_signed"] == 1e6
+        assert doc["inf"] == float("inf")
+        assert doc[True] is True and doc[False] is False
+        assert (doc["octal"], doc["hex"], doc["binary"]) == (15, 31, 5)
+        assert (doc["sexagesimal"], doc["underscore"]) == (80, 1000)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "run: [1, 2\n",
+            "run: {horizon_s: 1\n",
+            "run: {horizon_s: 1}}\n",
+            "a: b: c\n",
+            "run:\n  horizon_s: 1\n bad: 2\n",
+            "a: 'unterminated\n",
+            "a: 1\n---\nb: 2\n",
+            "a: *missing\n",
+            "a: !!python/object:os.system x\n",
+        ],
+    )
+    def test_invalid_yaml_position_matches_safe_loader(self, text):
+        with pytest.raises(yaml.MarkedYAMLError) as reference:
+            yaml.load(text, Loader=yaml.SafeLoader)
+        mark = reference.value.problem_mark
+        with pytest.raises(SchemaError) as exc:
+            parse_config(text)
+        (problem,) = problems_of(exc)
+        assert problem.startswith(
+            f"line {mark.line + 1}, column {mark.column + 1}: invalid YAML ("
+        ), problem
+
+    @pytest.mark.parametrize("text", ["a: \x07\n", "a: \ud800\n"])
+    def test_unreadable_characters(self, text):
+        with pytest.raises(SchemaError) as exc:
+            parse_config(text)
+        (problem,) = problems_of(exc)
+        assert problem.startswith("document: invalid YAML (")
+
+
 class TestDanglingReferences:
     def test_arrival_target(self):
         text = MINIMAL + textwrap.dedent(
@@ -365,6 +467,13 @@ class TestOverrides:
         with pytest.raises(SchemaError):
             with_overrides(sc, horizon_s=0.0)
 
+    @pytest.mark.parametrize("horizon", [float("inf"), float("-inf"), float("nan")])
+    def test_nonfinite_horizon_override(self, horizon):
+        for sc in (parse_config(MINIMAL), parse_config(FULL)):
+            with pytest.raises(SchemaError) as exc:
+                with_overrides(sc, horizon_s=horizon)
+            assert "must be finite" in problems_of(exc)[0]
+
     def test_no_overrides_is_identity(self):
         sc = parse_config(MINIMAL)
         assert with_overrides(sc) == sc
@@ -401,6 +510,13 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SchemaError) as exc:
             load_config(tmp_path / "nope.yaml")
+        assert any("cannot read config file" in p for p in problems_of(exc))
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(MINIMAL.encode("utf-8") + b"# caf\xe9\n")
+        with pytest.raises(SchemaError) as exc:
+            load_config(path)
         assert any("cannot read config file" in p for p in problems_of(exc))
 
     def test_round_trip_through_file(self, tmp_path):

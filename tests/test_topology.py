@@ -192,3 +192,45 @@ class TestNode:
         t = grid_topology()
         with pytest.raises(KeyError):
             t.node(99)
+
+
+def _linear_fog_for_area(t, area):
+    """The scan fog_for_area replaced: first fog node of the area."""
+    for n in t.nodes:
+        if n.tier is Tier.FOG and n.area == area:
+            return n
+    return None
+
+
+class TestIndexes:
+    def test_by_id_is_built_once(self):
+        t = grid_topology(areas=3)
+        assert t.by_id() is t.by_id()
+        assert t.by_id() == {n.id: n for n in t.nodes}
+
+    def test_node_reads_the_index(self):
+        t = grid_topology(areas=3, devices_per_area=3)
+        for n in t.nodes:
+            assert t.node(n.id) is n
+
+    def test_fog_for_area_matches_linear_scan(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            t = random_valid_topology(rng)
+            # Add a device in an area no fog node serves.
+            t = make_topology(
+                t.nodes + (device_node(50, area=9),),
+                [tuple(link) for link in t.fog_links],
+                Mode.CLOUD_ONLY,
+            )
+            areas = {n.area for n in t.nodes} | {9, 99, None}
+            for area in areas:
+                assert t.fog_for_area(area) is _linear_fog_for_area(t, area)
+            assert t.fog_for_area(9) is None
+
+    def test_replace_builds_fresh_indexes(self):
+        t = grid_topology(areas=2)
+        t.by_id()
+        flipped = dataclasses.replace(t, nodes=t.nodes[:-1])
+        assert len(flipped.by_id()) == len(t.nodes) - 1
+        assert flipped == make_topology(t.nodes[:-1], (), t.mode)
