@@ -13,7 +13,7 @@ InvalidState.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
 
@@ -84,10 +84,16 @@ TRANSITIONS: frozenset[tuple[SessionState, SessionState]] = frozenset(
 )
 
 
+# The same edges by member name, for the check below: a pair of ``_name_``
+# strings hashes in C, where an Enum member hashes through a Python-level
+# ``__hash__`` (and ``.name`` is a property).
+_TRANSITION_NAMES = frozenset((a._name_, b._name_) for a, b in TRANSITIONS)
+
+
 def is_legal_transition(a: SessionState, b: SessionState) -> bool:
     if b is SessionState.REJECTED:
-        return a not in (SessionState.BILLED, SessionState.REJECTED)
-    return (a, b) in TRANSITIONS
+        return a is not SessionState.BILLED and a is not SessionState.REJECTED
+    return (a._name_, b._name_) in _TRANSITION_NAMES
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,12 @@ class ChargingSession:
                 f"session {self.session_id}: cannot go from "
                 f"{self.state.value} to {new_state.value}"
             )
-        return replace(self, state=new_state, **changes)
+        # Copies the fields directly: dataclasses.replace re-reads the field
+        # list and re-runs the frozen __init__ on every step. The copy is as
+        # frozen as the original.
+        nxt = object.__new__(ChargingSession)
+        nxt.__dict__.update(self.__dict__, state=new_state, **changes)
+        return nxt
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,15 @@ def bess_charge(b: BessState, energy_kwh: float) -> BessState:
     return replace(b, soc_kwh=new_soc)
 
 
+def bess_charge_curtailed(b: BessState, energy_kwh: float) -> BessState:
+    """Store ``energy_kwh * efficiency`` into the battery, curtailing
+    whatever would exceed its capacity."""
+    if energy_kwh < 0:
+        raise ValueError(f"charge energy must be nonnegative, got {energy_kwh!r}")
+    stored = min(energy_kwh * b.efficiency, b.capacity_kwh - b.soc_kwh)
+    return BessState(b.capacity_kwh, b.soc_kwh + stored, b.efficiency)
+
+
 def bess_discharge(b: BessState, energy_kwh: float) -> BessState:
     """Draw ``energy_kwh`` from the battery."""
     if energy_kwh < 0:
@@ -107,7 +116,7 @@ def bess_discharge(b: BessState, energy_kwh: float) -> BessState:
             f"discharging {energy_kwh} kWh would drain soc {b.soc_kwh} kWh "
             "below zero"
         )
-    return replace(b, soc_kwh=new_soc)
+    return BessState(b.capacity_kwh, new_soc, b.efficiency)
 
 
 class MicrogridMode(Enum):

@@ -14,21 +14,24 @@ of existing ones. Events are processed in strict (time, seq) order, seq
 assigned at scheduling time.
 
 Trace digest: each processed event is rendered as the text line
-``repr(time),seq,kind,node`` + newline, where ``kind`` is one of Arrival,
-ServiceStart, ServiceEnd, SessionStep and ``repr`` is Python's shortest
-round-trip float form; the digest is the 8-byte BLAKE2b hash of the
-concatenated lines, in hex. (BLAKE2b-64 plays the role of the 64-bit trace
-hash; it is pinned here so determinism is testable.)
+``repr(time),seq,kind,node`` + newline, where ``kind`` is the EventKind
+value (Arrival, ServiceStart, ServiceEnd, SessionStep) and ``repr`` is
+Python's shortest round-trip float form; the digest is the 8-byte BLAKE2b
+hash of the concatenated lines, in hex. (BLAKE2b-64 plays the role of the
+64-bit trace hash; it is pinned here so determinism is testable.) The
+digest needs no recording: ``Message`` and ``SimEvent`` objects are built
+only when ``record_events`` is set, and the digest is the same either way.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heappop, heappush
+from itertools import count
 from typing import Mapping, Optional
 
 import numpy as np
@@ -40,7 +43,15 @@ from .billing import (
     MeterIdentity,
     SessionState,
 )
-from .energy import BessState, EnergyLedger, MicrogridMode, accrue_energy, mode_transition
+from .energy import (
+    BessState,
+    EnergyLedger,
+    MicrogridMode,
+    accrue_energy,
+    bess_charge_curtailed,
+    bess_discharge,
+    mode_transition,
+)
 from .errors import FogGridError
 from .messages import (
     DEFAULT_CLASSIFICATION,
@@ -49,7 +60,6 @@ from .messages import (
     Message,
     NoRoute,
     Payload,
-    SealedEnvelope,
     UnknownNode,
     classify,
     resolve_route,
@@ -57,12 +67,6 @@ from .messages import (
 )
 from .queueing import QueueStats
 from .topology import InvalidTopology, Mode, NodeId, Tier, Topology, validate_topology
-
-_ARRIVAL = 0
-_SERVICE_START = 1
-_SERVICE_END = 2
-_SESSION_STEP = 3
-_KIND_NAMES = ("Arrival", "ServiceStart", "ServiceEnd", "SessionStep")
 
 # Purpose codes for deriving per-(node, purpose) random streams.
 _PURPOSE_SERVICE = 0
@@ -81,6 +85,20 @@ class EventKind(Enum):
     SERVICE_START = "ServiceStart"
     SERVICE_END = "ServiceEnd"
     SESSION_STEP = "SessionStep"
+
+
+# Heap entries carry the kind as an index into this tuple.
+_KINDS = tuple(EventKind)
+_ARRIVAL, _SERVICE_START, _SERVICE_END, _SESSION_STEP = range(len(_KINDS))
+
+
+class _Step(Enum):
+    """Session-protocol steps, carried by SessionStep events."""
+
+    INITIATE = 0
+    REQUEST_DELIVERED = 1
+    APPROVAL_DELIVERED = 2
+    CHARGE_COMPLETE = 3
 
 
 @dataclass(frozen=True)
@@ -179,26 +197,32 @@ class SimResult:
 
 
 class _Transit:
-    """A message in flight: its route and current position."""
+    """A message in flight: its route and current position. A session
+    message names the step its delivery triggers; ``msg`` is set only for
+    session messages, and for an approval only when events are recorded."""
 
     __slots__ = (
-        "msg",
+        "msg_id",
         "hops",
         "hop_idx",
         "node_arrival",
         "process_idx",
         "session_idx",
-        "purpose",
+        "on_delivery",
+        "msg",
     )
 
-    def __init__(self, msg, hops, process_idx=None, session_idx=None, purpose=None):
-        self.msg = msg
+    def __init__(
+        self, msg_id, hops, process_idx=None, session_idx=None, on_delivery=None, msg=None
+    ):
+        self.msg_id = msg_id
         self.hops = hops
         self.hop_idx = 0
         self.node_arrival = 0.0
         self.process_idx = process_idx
         self.session_idx = session_idx
-        self.purpose = purpose
+        self.on_delivery = on_delivery
+        self.msg = msg
 
 
 class _NodeState:
@@ -279,15 +303,12 @@ class _Engine:
         self.horizon = cfg.horizon_s
         self.warmup = cfg.warmup_s
 
+        self.hop_delay = cfg.hop_delay_s
         self.heap: list = []
-        self.seq = 0
+        self.seq = count()
         self.hasher = hashlib.blake2b(digest_size=8)
-        self.pending_lines: list[str] = []
-        self.event_count = 0
         self.events: Optional[list[SimEvent]] = [] if cfg.record_events else None
-        self.messages: Optional[dict[int, Message]] = (
-            {} if cfg.record_events else None
-        )
+        self.messages: Optional[dict[int, Message]] = {} if cfg.record_events else None
 
         self.msg_id = 0
         self.generated = 0
@@ -320,29 +341,6 @@ class _Engine:
             MicrogridMode.GRID_CONNECTED, cfg.grid_available
         )
 
-    # -- scheduling ---------------------------------------------------
-
-    def _push(self, time: float, kind: int, node: NodeId, data=None) -> None:
-        heapq.heappush(self.heap, (time, self.seq, kind, node, data))
-        self.seq += 1
-
-    def _record(self, time: float, seq: int, kind: int, node: NodeId, subject) -> None:
-        self.pending_lines.append(f"{time!r},{seq},{_KIND_NAMES[kind]},{node}\n")
-        if len(self.pending_lines) >= _DIGEST_FLUSH:
-            self.hasher.update("".join(self.pending_lines).encode())
-            self.pending_lines.clear()
-        self.event_count += 1
-        if self.events is not None:
-            self.events.append(
-                SimEvent(
-                    time=time,
-                    seq=seq,
-                    kind=EventKind(_KIND_NAMES[kind]),
-                    node=node,
-                    subject=subject,
-                )
-            )
-
     # -- setup --------------------------------------------------------
 
     def _serving_node(self, device_id: NodeId) -> NodeId:
@@ -359,6 +357,7 @@ class _Engine:
     def _setup_processes(self) -> None:
         cfg = self.cfg
         self.proc_stream: list[Optional[_ExpStream]] = []
+        self.proc_size: list[int] = []
         self.proc_route: list[tuple[NodeId, ...]] = []
         self.proc_content: list = []
         self.proc_class: list[DataClass] = []
@@ -400,6 +399,7 @@ class _Engine:
             else:
                 content = payload
             self.proc_stream.append(stream)
+            self.proc_size.append(proc.size_bytes)
             self.proc_route.append(hops)
             self.proc_content.append(content)
             self.proc_class.append(dclass)
@@ -411,18 +411,23 @@ class _Engine:
                     self._spawn_process_message(idx, first)
 
     def _spawn_process_message(self, idx: int, at: float) -> None:
-        proc = self.cfg.arrival_processes[idx]
-        msg = Message(
-            id=self.msg_id,
-            src=proc.target,
-            dst=self.proc_route[idx][-1],
+        hops = self.proc_route[idx]
+        transit = _Transit(self.msg_id, hops, idx)
+        self.msg_id += 1
+        heappush(self.heap, (at, next(self.seq), _ARRIVAL, hops[0], transit))
+
+    def _process_message(self, transit: _Transit, at: float) -> Message:
+        """The Message of a process transit, built only to be recorded.
+        ``at``, its first arrival, is when it was created."""
+        idx = transit.process_idx
+        return Message(
+            id=transit.msg_id,
+            src=transit.hops[0],
+            dst=transit.hops[-1],
             data_class=self.proc_class[idx],
             content=self.proc_content[idx],
             created_at=at,
         )
-        self.msg_id += 1
-        transit = _Transit(msg, self.proc_route[idx], process_idx=idx)
-        self._push(at, _ARRIVAL, transit.hops[0], transit)
 
     def _setup_sessions(self) -> None:
         for idx, plan in enumerate(self.cfg.sessions):
@@ -437,9 +442,7 @@ class _Engine:
                     f"session {idx}: energy_kwh must be nonnegative"
                 )
             if plan.start_s <= self.horizon:
-                self._push(
-                    plan.start_s, _SESSION_STEP, plan.outlet_meter, (idx, "initiate")
-                )
+                self._schedule_step(plan.start_s, plan.outlet_meter, idx, _Step.INITIATE)
 
     # -- event handlers -----------------------------------------------
 
@@ -450,33 +453,26 @@ class _Engine:
         st.last_t = now
 
     def _handle_arrival(self, now: float, node: NodeId, transit: _Transit) -> None:
-        if transit.process_idx is not None and transit.hop_idx == 0:
-            self.generated += 1
-            self.bytes_gen += self.cfg.arrival_processes[
-                transit.process_idx
-            ].size_bytes
-            # Keep the Poisson stream flowing: draw the next generation.
-            nxt = now + self.proc_stream[transit.process_idx].next()
-            if nxt <= self.horizon:
-                self._spawn_process_message(transit.process_idx, nxt)
-        if self.messages is not None:
-            self.messages.setdefault(transit.msg.id, transit.msg)
+        if transit.hop_idx == 0:
+            idx = transit.process_idx
+            if idx is not None:
+                self.generated += 1
+                self.bytes_gen += self.proc_size[idx]
+                # Keep the Poisson stream flowing: draw the next generation.
+                nxt = now + self.proc_stream[idx].next()
+                if nxt <= self.horizon:
+                    self._spawn_process_message(idx, nxt)
+            if self.messages is not None:
+                self.messages[transit.msg_id] = (
+                    transit.msg if idx is None else self._process_message(transit, now)
+                )
 
         st = self.servers.get(node)
         if st is None:
             # Device tier: zero queueing, forward or deliver immediately.
             if now >= self.warmup:
                 self.device_arrivals[node] += 1
-            if transit.hop_idx == len(transit.hops) - 1:
-                self._deliver(now, node, transit)
-            else:
-                transit.hop_idx += 1
-                self._push(
-                    now + self.cfg.hop_delay_s,
-                    _ARRIVAL,
-                    transit.hops[transit.hop_idx],
-                    transit,
-                )
+            self._forward(now, node, transit)
             return
 
         transit.node_arrival = now
@@ -487,14 +483,15 @@ class _Engine:
         st.queue.append(transit)
         if not st.busy:
             st.busy = True
-            self._push(now, _SERVICE_START, node)
+            heappush(self.heap, (now, next(self.seq), _SERVICE_START, node, None))
 
-    def _handle_service_start(self, now: float, node: NodeId) -> None:
+    def _handle_service_start(self, now: float, node: NodeId, _data) -> None:
         st = self.servers[node]
         st.busy_since = now
-        self._push(now + st.service.next(), _SERVICE_END, node)
+        done = now + st.service.next()
+        heappush(self.heap, (done, next(self.seq), _SERVICE_END, node, None))
 
-    def _handle_service_end(self, now: float, node: NodeId) -> None:
+    def _handle_service_end(self, now: float, node: NodeId, _data) -> None:
         st = self.servers[node]
         transit = st.queue.popleft()
         self._integrate(st, now)
@@ -507,46 +504,43 @@ class _Engine:
             st.samples += 1
             st.sojourn_sum += now - transit.node_arrival
         if st.queue:
-            self._push(now, _SERVICE_START, node)
+            heappush(self.heap, (now, next(self.seq), _SERVICE_START, node, None))
         else:
             st.busy = False
+        self._forward(now, node, transit)
 
-        if transit.hop_idx == len(transit.hops) - 1:
-            self._deliver(now, node, transit)
+    def _forward(self, now: float, node: NodeId, transit: _Transit) -> None:
+        """Send ``transit`` on to its next hop, or deliver it at the last."""
+        hops = transit.hops
+        if transit.hop_idx == len(hops) - 1:
+            self.delivered += 1
+            if transit.session_idx is not None:
+                self._schedule_step(now, node, transit.session_idx, transit.on_delivery)
         else:
             transit.hop_idx += 1
-            self._push(
-                now + self.cfg.hop_delay_s,
-                _ARRIVAL,
-                transit.hops[transit.hop_idx],
-                transit,
-            )
-
-    def _deliver(self, now: float, node: NodeId, transit: _Transit) -> None:
-        self.delivered += 1
-        if transit.session_idx is not None:
-            tag = (
-                "request-delivered"
-                if transit.purpose == "request"
-                else "approval-delivered"
-            )
-            self._push(now, _SESSION_STEP, node, (transit.session_idx, tag))
+            at = now + self.hop_delay
+            heappush(self.heap, (at, next(self.seq), _ARRIVAL, hops[transit.hop_idx], transit))
 
     # -- session protocol ----------------------------------------------
 
-    def _inject_session_message(
-        self, now: float, idx: int, msg: Message, hops, purpose: str
+    def _schedule_step(self, at: float, node: NodeId, idx: int, step: _Step) -> None:
+        heappush(self.heap, (at, next(self.seq), _SESSION_STEP, node, (idx, step)))
+
+    def _send_session_message(
+        self, now: float, idx: int, hops, size: int, on_delivery: _Step, msg
     ) -> None:
+        """Put a session message of ``size`` payload bytes on the wire
+        under the next message id."""
         self.generated += 1
-        inner = msg.content.inner if isinstance(msg.content, SealedEnvelope) else msg.content
-        self.bytes_gen += inner.bytes_size
-        transit = _Transit(msg, hops, session_idx=idx, purpose=purpose)
-        self._push(now, _ARRIVAL, hops[0], transit)
+        self.bytes_gen += size
+        transit = _Transit(self.msg_id, hops, session_idx=idx, on_delivery=on_delivery, msg=msg)
+        self.msg_id += 1
+        heappush(self.heap, (now, next(self.seq), _ARRIVAL, hops[0], transit))
 
     def _handle_session_step(self, now: float, node: NodeId, data) -> None:
-        idx, tag = data
+        idx, step = data
         plan = self.cfg.sessions[idx]
-        if tag == "initiate":
+        if step is _Step.INITIATE:
             session = billing.initiate_session(
                 idx,
                 plan.vehicle_id,
@@ -568,9 +562,11 @@ class _Engine:
                 # Self-charge: no network round-trip needed.
                 self._begin_charging(now, idx)
             else:
-                self.msg_id += 1
-                self._inject_session_message(now, idx, msg, route.hops, "request")
-        elif tag == "request-delivered":
+                size = msg.content.inner.bytes_size
+                self._send_session_message(
+                    now, idx, route.hops, size, _Step.REQUEST_DELIVERED, msg
+                )
+        elif step is _Step.REQUEST_DELIVERED:
             session = self.sessions[idx]
             if session is None or session.state is not SessionState.OWNER_RESOLVED:
                 return
@@ -587,19 +583,22 @@ class _Engine:
             envelope = seal(
                 token, {session.owner_meter, session.outlet_meter}, self.topo
             )
-            msg = Message(
-                id=self.msg_id,
-                src=session.owner_meter,
-                dst=session.outlet_meter,
-                data_class=DataClass.PRIVATE,
-                content=envelope,
-                created_at=now,
+            msg = None
+            if self.messages is not None:
+                msg = Message(
+                    id=self.msg_id,
+                    src=session.owner_meter,
+                    dst=session.outlet_meter,
+                    data_class=DataClass.PRIVATE,
+                    content=envelope,
+                    created_at=now,
+                )
+            self._send_session_message(
+                now, idx, reply_route.hops, token.bytes_size, _Step.APPROVAL_DELIVERED, msg
             )
-            self.msg_id += 1
-            self._inject_session_message(now, idx, msg, reply_route.hops, "approval")
-        elif tag == "approval-delivered":
+        elif step is _Step.APPROVAL_DELIVERED:
             self._begin_charging(now, idx)
-        elif tag == "charge-complete":
+        elif step is _Step.CHARGE_COMPLETE:
             self._complete_charge(now, idx)
 
     def _begin_charging(self, now: float, idx: int) -> None:
@@ -608,41 +607,28 @@ class _Engine:
         session = billing.start_charging(session, now)
         self.sessions[idx] = session
         plan = self.cfg.sessions[idx]
-        self._push(
-            now + plan.duration_s,
-            _SESSION_STEP,
-            plan.outlet_meter,
-            (idx, "charge-complete"),
+        self._schedule_step(
+            now + plan.duration_s, plan.outlet_meter, idx, _Step.CHARGE_COMPLETE
         )
 
     def _apply_bess_schedule(self, now: float) -> None:
-        while (
-            self.bess_ptr < len(self.bess_schedule)
-            and self.bess_schedule[self.bess_ptr].at_s <= now
-        ):
-            entry = self.bess_schedule[self.bess_ptr]
+        schedule = self.bess_schedule
+        while self.bess_ptr < len(schedule) and schedule[self.bess_ptr].at_s <= now:
+            entry = schedule[self.bess_ptr]
             self.bess_ptr += 1
-            if self.bess is None:
-                continue
-            # Surplus beyond capacity is curtailed.
-            stored = min(
-                entry.energy_kwh * self.bess.efficiency,
-                self.bess.capacity_kwh - self.bess.soc_kwh,
-            )
-            self.bess = replace(self.bess, soc_kwh=self.bess.soc_kwh + stored)
+            if self.bess is not None:
+                self.bess = bess_charge_curtailed(self.bess, entry.energy_kwh)
 
     def _complete_charge(self, now: float, idx: int) -> None:
         plan = self.cfg.sessions[idx]
         session = self.sessions[idx]
         self._apply_bess_schedule(now)
         energy = plan.energy_kwh
-        from_bess = 0.0
-        from_grid = 0.0
         if self.bess is not None and self.bess.soc_kwh >= energy:
-            self.bess = replace(self.bess, soc_kwh=self.bess.soc_kwh - energy)
-            from_bess = energy
+            self.bess = bess_discharge(self.bess, energy)
+            sources = (energy, 0.0)
         elif self.mode is MicrogridMode.GRID_CONNECTED:
-            from_grid = energy
+            sources = (0.0, energy)
         else:
             # Islanded with a depleted battery: the outlet cannot deliver.
             self.sessions[idx] = billing.reject_session(
@@ -654,7 +640,7 @@ class _Engine:
             session, self.cfg.tariff_per_kwh, self.cfg.vehicle_registry
         )
         self.sessions[idx] = session
-        self.session_sources[session.session_id] = (from_bess, from_grid)
+        self.session_sources[session.session_id] = sources
         self.bills.append(bill)
 
     # -- main loop ------------------------------------------------------
@@ -688,16 +674,30 @@ class _Engine:
             self._handle_service_end,
             self._handle_session_step,
         )
+        events = self.events
+        # ",kind,node\n" of each (kind, node) seen so far, one dict per kind.
+        suffixes: tuple[dict, ...] = tuple({} for _ in _KINDS)
+        lines: list[str] = []
+        append = lines.append
+        n = 0
         while heap:
-            time, seq, kind, node, data = heapq.heappop(heap)
+            time, seq, kind, node, data = heappop(heap)
             if time > horizon:
                 break
-            self._record(time, seq, kind, node, _subject_of(kind, data))
-            if data is None:
-                handlers[kind](time, node)
-            else:
-                handlers[kind](time, node, data)
+            suffix = suffixes[kind].get(node)
+            if suffix is None:
+                suffix = suffixes[kind][node] = f",{_KINDS[kind].value},{node}\n"
+            append(f"{time!r},{seq}{suffix}")
+            n += 1
+            if not n % _DIGEST_FLUSH:
+                self.hasher.update("".join(lines).encode())
+                lines.clear()
+            if events is not None:
+                events.append(SimEvent(time, seq, _KINDS[kind], node, _subject_of(kind, data)))
+            handlers[kind](time, node, data)
 
+        self.hasher.update("".join(lines).encode())
+        self.event_count = n
         return self._finalize()
 
     def _finalize(self) -> SimResult:
@@ -747,9 +747,6 @@ class _Engine:
                 horizon - busy_total,
             )
 
-        if self.pending_lines:
-            self.hasher.update("".join(self.pending_lines).encode())
-            self.pending_lines.clear()
         trace = SimTrace(
             digest=self.hasher.hexdigest(),
             event_count=self.event_count,
@@ -777,7 +774,7 @@ def _subject_of(kind: int, data) -> Optional[int]:
         return None
     if kind == _SESSION_STEP:
         return data[0]
-    return data.msg.id
+    return data.msg_id
 
 
 def run(cfg: RunConfig) -> SimResult:

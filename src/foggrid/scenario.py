@@ -160,6 +160,11 @@ class _Reader:
         if isinstance(v, bool) or not isinstance(v, int):
             self.fail(f"{path}.{key}", f"expected an integer, got {v!r}")
             return default
+        try:
+            float(v)  # counts and sizes meet float arithmetic downstream
+        except OverflowError:
+            self.fail(f"{path}.{key}", "must be within the float range")
+            return default
         if minimum is not None and v < minimum:
             self.fail(f"{path}.{key}", f"must be >= {minimum}, got {v}")
             return default
@@ -288,6 +293,10 @@ def parse_config(text: str) -> ScenarioConfig:
         raise SchemaError(
             [f"document: invalid YAML (unencodable character at {exc.start})"]
         ) from None
+    except ValueError as exc:
+        # A scalar its constructor rejects: a date such as 2020-13-45, or an
+        # integer literal longer than Python converts from text.
+        raise SchemaError([f"document: invalid YAML ({exc})"]) from None
     return _build(doc)
 
 

@@ -228,10 +228,12 @@ def _check_spec(node: Node, report: list[Violation]) -> None:
         "power_idle_mw": s.power_idle_mw,
     }
     for name, value in numeric.items():
-        if not math.isfinite(value):
-            report.append(
-                Violation("spec non-finite", f"node {node.id}: {name}={value!r}")
-            )
+        try:
+            detail = None if math.isfinite(value) else f"{name}={value!r}"
+        except OverflowError:  # an int too large for a float
+            detail = f"{name} is beyond the float range"
+        if detail is not None:
+            report.append(Violation("spec non-finite", f"node {node.id}: {detail}"))
     for name in ("cpu_mhz", "cores", "memory_mb", "power_active_mw"):
         if numeric[name] <= 0:
             report.append(

@@ -79,6 +79,27 @@ class TestValidate:
         assert err.startswith("InvalidTopology:")
         assert "cloud" in err
 
+    @pytest.mark.parametrize(
+        "field, old, new",
+        [
+            ("cpu_mhz", "0.02857142857142857}", "0.02857142857142857, spec: {cpu_mhz: N}}"),
+            ("size_bytes", "size_bytes: 64", "size_bytes: N"),
+        ],
+        ids=["spec", "size"],
+    )
+    def test_integer_beyond_float_range_is_config_error(
+        self, field, old, new, tmp_path, capsys
+    ):
+        # Both once ended in an OverflowError traceback: the spec field in
+        # the topology check, the message size in the processing model.
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(SCENARIO.replace(old, new.replace("N", "1" + "0" * 400)))
+        for command in ("validate", "run"):
+            assert main([command, str(bad)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("SchemaError:")
+            assert f".{field}: must be within the float range" in err
+
     def test_dangling_reference(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text(

@@ -18,6 +18,7 @@ from foggrid import (
     Underflow,
     accrue_energy,
     bess_charge,
+    bess_charge_curtailed,
     bess_discharge,
     default_cloud_spec,
     default_fog_spec,
@@ -137,6 +138,27 @@ class TestBess:
         except OverCapacity:
             return
         assert 0.0 <= b.soc_kwh <= cap
+
+    def test_curtailed_charge_stops_at_capacity(self):
+        # 5 kWh at 90% would store 4.5 kWh; only 1 kWh of headroom is left.
+        b = BessState(capacity_kwh=10.0, soc_kwh=9.0, efficiency=0.9)
+        assert bess_charge_curtailed(b, 5.0) == BessState(10.0, 10.0, 0.9)
+        full = BessState(capacity_kwh=10.0, soc_kwh=10.0)
+        assert bess_charge_curtailed(full, 3.0).soc_kwh == 10.0
+        with pytest.raises(ValueError):
+            bess_charge_curtailed(b, -1.0)
+
+    @given(
+        cap=st.floats(1.0, 100.0),
+        frac=st.floats(0.0, 1.0),
+        eff=st.floats(0.1, 1.0),
+        amount=st.floats(0.0, 100.0),
+    )
+    def test_curtailed_charge_stores_what_fits(self, cap, frac, eff, amount):
+        b = BessState(capacity_kwh=cap, soc_kwh=cap * frac, efficiency=eff)
+        stored = bess_charge_curtailed(b, amount)
+        assert (stored.capacity_kwh, stored.efficiency) == (cap, eff)
+        assert math.isclose(stored.soc_kwh, min(b.soc_kwh + amount * eff, cap))
 
 
 class TestMicrogridMode:

@@ -1,21 +1,27 @@
-"""Golden outputs: pinned trace digests and summary.txt bytes.
+"""Golden outputs: pinned trace digests, summary.txt and nodes.csv bytes,
+and the events and messages a ``record_events`` run returns.
 
 Each scenario below is small enough to run in well under a second. The
-pinned values were produced by the code as it stood before the topology
-index and the native YAML loader went in; a change that alters any of
-them changes simulation results and needs a documented reason, not a new
-pin. Together the scenarios cover the route patterns ComA, ComB, ComC,
-ComD and CloudDirect, both modes, a nonzero hop delay, sealed
-MeterReading traffic, billed and rejected sessions, and a battery top-up
-that is curtailed at capacity.
+digests and summaries were produced by the code as it stood before the
+topology index and the native YAML loader went in; the recorded events,
+messages and nodes.csv bytes by the code as it stood before the event loop
+stopped building messages and event records it does not need. A change
+that alters any of them changes simulation results and needs a documented
+reason, not a new pin. Together the scenarios cover the route patterns
+ComA, ComB, ComC, ComD and CloudDirect, both modes, a nonzero hop delay,
+sealed MeterReading traffic, billed and rejected sessions, and a battery
+top-up that is curtailed at capacity.
 """
 
+import dataclasses
+import hashlib
 import textwrap
 
 import pytest
 
-from foggrid import Mode, RoutePattern, parse_config, run
+from foggrid import Mode, RoutePattern, engine, parse_config, run
 from foggrid.cli import EXIT_OK, main
+from foggrid.messages import SealedEnvelope
 
 _TOPOLOGY = """
 topology:
@@ -203,6 +209,77 @@ GOLDEN_DIGEST = {
     "single-queue": "a93fbce729e3286a",
 }
 
+_NODES_HEADER = (
+    "node_id,tier,lambda_hat,mean_wait_s,mean_in_system,utilization,"
+    "active_time_s,idle_time_s,energy_mj\n"
+)
+
+GOLDEN_NODES_CSV = {
+    "fog-roaming": _NODES_HEADER
+    + """\
+0,cloud,0.0194872,2.07052,0.0403485,0.0372126,72.5646,1927.44,35484.1
+1,fog,0.0548718,1.4191,0.0778688,0.072303,144.396,1855.6,28734.8
+2,fog,0.0502564,1.44379,0.0725595,0.0713654,139.96,1860.04,27852
+3,fog,0.0235897,1.05199,0.0248162,0.0236655,46.8455,1953.15,9322.26
+4,device,0.0558974,0,0,0,0,2000,0
+5,device,0.00102564,0,0,0,0,2000,0
+6,device,0.0492308,0,0,0,0,2000,0
+7,device,0.00102564,0,0,0,0,2000,0
+8,device,0.0235897,0,0,0,0,2000,0
+""",
+    "cloud-roaming": _NODES_HEADER
+    + """\
+0,cloud,0.145455,2.80504,0.408191,0.294361,589.497,1410.5,288264
+1,fog,0,0,0,0,0,2000,0
+2,fog,0,0,0,0,0,2000,0
+3,fog,0,0,0,0,0,2000,0
+4,device,0.0565657,0,0,0,0,2000,0
+5,device,0.0010101,0,0,0,0,2000,0
+6,device,0.0494949,0,0,0,0,2000,0
+7,device,0.0010101,0,0,0,0,2000,0
+8,device,0.0242424,0,0,0,0,2000,0
+""",
+    "island-bess": _NODES_HEADER
+    + """\
+0,cloud,0,0,0,0,0,1500,0
+1,fog,0.16229,1.4613,0.237153,0.189483,284.504,1215.5,56616.4
+2,device,0.115825,0,0,0,0,1500,0
+3,device,0.0518519,0,0,0,0,1500,0
+4,device,0.0026936,0,0,0,0,1500,0
+""",
+    "single-queue": _NODES_HEADER
+    + """\
+0,cloud,0,0,0,0,0,5000,0
+1,fog,0.0183838,53.7725,0.988546,0.608531,3012.23,1987.77,599433
+2,device,0.0183838,0,0,0,0,5000,0
+""",
+}
+
+#: (event count, BLAKE2b-64 of one "time,seq,kind,node,subject" line per
+#: recorded event) of a record_events run.
+GOLDEN_EVENTS = {
+    "fog-roaming": (1181, "9f8d0789374791be"),
+    "cloud-roaming": (1157, "32d756a71946324c"),
+    "island-bess": (996, "0bc4ccc8c46db21d"),
+    "single-queue": (364, "fa79d32e83a0cd04"),
+}
+
+#: (message count, BLAKE2b-64 of one line per message, in mapping order)
+#: of fog-roaming's record_events run.
+GOLDEN_MESSAGES = (291, "7626464dae58d2d0")
+
+
+def _blake64(lines) -> str:
+    h = hashlib.blake2b(digest_size=8)
+    for line in lines:
+        h.update(line.encode())
+    return h.hexdigest()
+
+
+def _recorded(name):
+    rc = parse_config(SCENARIOS[name]).run_config
+    return run(dataclasses.replace(rc, record_events=True))
+
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_trace_digest(name):
@@ -218,6 +295,32 @@ def test_summary_bytes(name, tmp_path, capsys):
     assert main(["run", str(config), "--out", str(out)]) == EXIT_OK
     assert f"trace_digest: {GOLDEN_DIGEST[name]}" in capsys.readouterr().out
     assert (out / "summary.txt").read_bytes() == GOLDEN_SUMMARY[name].encode()
+    assert (out / "nodes.csv").read_bytes() == GOLDEN_NODES_CSV[name].encode()
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_recorded_events(name):
+    result = _recorded(name)
+    events = result.trace.events
+    assert result.trace.digest == GOLDEN_DIGEST[name]
+    assert (len(events), result.trace.event_count) == (GOLDEN_EVENTS[name][0],) * 2
+    lines = (f"{e.time!r},{e.seq},{e.kind.value},{e.node},{e.subject}\n" for e in events)
+    assert _blake64(lines) == GOLDEN_EVENTS[name][1]
+
+
+def test_recorded_messages():
+    messages = _recorded("fog-roaming").messages
+    assert all(key == msg.id for key, msg in messages.items())
+
+    def line(m):
+        c = m.content
+        tag = c.seal_tag if isinstance(c, SealedEnvelope) else c.kind
+        return (
+            f"{m.id},{m.src},{m.dst},{m.data_class.value},{m.created_at!r},"
+            f"{type(c).__name__},{tag}\n"
+        )
+
+    assert (len(messages), _blake64(map(line, messages.values()))) == GOLDEN_MESSAGES
 
 
 def test_scenarios_cover_every_session_route():
@@ -233,3 +336,15 @@ def test_scenarios_cover_every_session_route():
     } <= patterns
     modes = {parse_config(s).run_config.topology.mode for s in SCENARIOS.values()}
     assert modes == {Mode.CLOUD_ONLY, Mode.FOG_AUGMENTED}
+
+
+def test_unrecorded_run_builds_no_messages_or_events(monkeypatch):
+    # The digest alone needs neither: both are built for record_events only.
+    def built(*args, **kwargs):
+        raise AssertionError("built without record_events")
+
+    monkeypatch.setattr(engine, "Message", built)
+    monkeypatch.setattr(engine, "SimEvent", built)
+    result = run(parse_config(SCENARIOS["fog-roaming"]).run_config)
+    assert result.trace.digest == GOLDEN_DIGEST["fog-roaming"]
+    assert (result.messages, result.trace.events) == (None, None)

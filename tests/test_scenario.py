@@ -364,6 +364,19 @@ class TestLoader:
         (problem,) = problems_of(exc)
         assert problem.startswith("document: invalid YAML (")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["a: 2020-13-45\n", "a: 1" + "0" * 4400 + "\n"],
+        ids=["bad-date", "long-int"],
+    )
+    def test_scalars_the_constructors_reject(self, text):
+        # An impossible date, and an integer literal longer than Python
+        # converts from text: both raise ValueError inside the loader.
+        with pytest.raises(SchemaError) as exc:
+            parse_config(text)
+        (problem,) = problems_of(exc)
+        assert problem.startswith("document: invalid YAML (")
+
 
 class TestDanglingReferences:
     def test_arrival_target(self):

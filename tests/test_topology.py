@@ -129,6 +129,12 @@ class TestValidation:
         t = make_topology([cloud_node(), bad])
         assert "spec power order" in codes(t)
 
+    def test_integer_spec_beyond_float_range(self):
+        spec = dataclasses.replace(fog_node(1, area=0).spec, cpu_mhz=10**400)
+        bad = dataclasses.replace(fog_node(1, area=0), spec=spec)
+        t = make_topology([cloud_node(), bad])
+        assert "spec non-finite" in codes(t)
+
     def test_self_link(self):
         t = make_topology(
             [cloud_node(), fog_node(1, area=0)], fog_links=((1, 1),)
