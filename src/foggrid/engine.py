@@ -10,8 +10,17 @@ latency reflects queue state.
 Determinism contract: a run is a pure function of its RunConfig. Every
 random draw comes from a generator derived from the master seed and a
 stable purpose key, so adding a node or process never perturbs the streams
-of existing ones. Events are processed in strict (time, seq) order, seq
-assigned at scheduling time.
+of existing ones. Each stream draws its exponentials in blocks of 16
+values, doubling up to 512; numpy fills a block element by element from the
+bit generator, so the values drawn do not depend on the block size.
+
+Events are processed in strict (time, seq) order, seq assigned at
+scheduling time. Pending events sit in a heap, except those scheduled at
+the current instant (a ServiceStart, the first hop of a session message,
+the session step its delivery triggers), which go to a FIFO queue: that
+queue is always in (time, seq) order and drains before time advances, and
+the loop takes whichever head comes first. Session starts enter the heap
+one at a time, each when the one before it is handled.
 
 Trace digest: each processed event is rendered as the text line
 ``repr(time),seq,kind,node`` + newline, where ``kind`` is the EventKind
@@ -32,7 +41,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
 from itertools import count
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -74,10 +83,14 @@ _PURPOSE_ARRIVAL = 1
 
 _DIGEST_FLUSH = 4096
 
+# Payload size of a session's identity-token approval.
+_APPROVAL_BYTES = 64
+
 
 class InvalidRunConfig(FogGridError, ValueError):
     """A RunConfig breaks an engine precondition: the horizon, warmup,
-    hop delay, an arrival rate or a message size is out of range."""
+    hop delay, an arrival rate, a message size, a session's start or
+    duration, or a battery top-up's time or energy is out of range."""
 
 
 class EventKind(Enum):
@@ -267,31 +280,17 @@ def _stream(seed: int, purpose: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-class _ExpStream:
-    """Exponential sampler drawing from its generator in fixed blocks.
-
-    Draws are always taken in blocks so the consumed stream is a pure
-    function of the (seed, purpose, key) triple, independent of call
-    pattern. Values are returned as plain floats; numpy scalars must not
-    leak into heap keys (their repr differs and would change the digest).
-    """
-
-    __slots__ = ("rng", "scale", "buf", "idx")
-    _BLOCK = 512
-
-    def __init__(self, rng: np.random.Generator, rate: float):
-        self.rng = rng
-        self.scale = 1.0 / rate
-        self.buf = None
-        self.idx = 0
-
-    def next(self) -> float:
-        if self.buf is None or self.idx == self._BLOCK:
-            self.buf = self.rng.exponential(self.scale, size=self._BLOCK)
-            self.idx = 0
-        v = self.buf[self.idx]
-        self.idx += 1
-        return float(v)
+def _exp_draws(rng: np.random.Generator, rate: float) -> Iterator[float]:
+    """Exponential draws of ``rate`` from ``rng``, in blocks of 16 values
+    doubling up to 512, so a stream that is used little holds little.
+    Values are plain floats; numpy scalars must not leak into heap keys
+    (their repr differs and would change the digest)."""
+    scale = 1.0 / rate
+    size = 16
+    while True:
+        yield from rng.exponential(scale, size).tolist()
+        if size < 512:
+            size *= 2
 
 
 class _Engine:
@@ -305,6 +304,8 @@ class _Engine:
 
         self.hop_delay = cfg.hop_delay_s
         self.heap: list = []
+        # Events scheduled at the current instant, in (time, seq) order.
+        self.now_queue: deque = deque()
         self.seq = count()
         self.hasher = hashlib.blake2b(digest_size=8)
         self.events: Optional[list[SimEvent]] = [] if cfg.record_events else None
@@ -321,7 +322,7 @@ class _Engine:
             if n.tier is not Tier.DEVICE:
                 self.servers[n.id] = _NodeState(
                     n.id,
-                    _ExpStream(
+                    _exp_draws(
                         _stream(cfg.seed, _PURPOSE_SERVICE, n.id),
                         n.service_rate_per_s,
                     ),
@@ -356,7 +357,7 @@ class _Engine:
 
     def _setup_processes(self) -> None:
         cfg = self.cfg
-        self.proc_stream: list[Optional[_ExpStream]] = []
+        self.proc_stream: list[Optional[Iterator[float]]] = []
         self.proc_size: list[int] = []
         self.proc_route: list[tuple[NodeId, ...]] = []
         self.proc_content: list = []
@@ -367,17 +368,13 @@ class _Engine:
                 raise UnknownNode(
                     f"arrival process targets unknown node {proc.target}"
                 )
-            if not (math.isfinite(proc.rate_per_s) and proc.rate_per_s >= 0):
-                raise InvalidRunConfig(
-                    "arrival rate must be finite and nonnegative, "
-                    f"got {proc.rate_per_s!r}"
-                )
+            _require_nonnegative("arrival rate", proc.rate_per_s)
             if proc.size_bytes <= 0:
                 raise InvalidRunConfig("message size must be positive")
             k = per_node_index.get(proc.target, 0)
             per_node_index[proc.target] = k + 1
             if proc.rate_per_s > 0:
-                stream = _ExpStream(
+                stream = _exp_draws(
                     _stream(cfg.seed, _PURPOSE_ARRIVAL, proc.target, k),
                     proc.rate_per_s,
                 )
@@ -406,7 +403,7 @@ class _Engine:
 
         for idx, stream in enumerate(self.proc_stream):
             if stream is not None:
-                first = stream.next()
+                first = next(stream)
                 if first <= self.horizon:
                     self._spawn_process_message(idx, first)
 
@@ -430,6 +427,7 @@ class _Engine:
         )
 
     def _setup_sessions(self) -> None:
+        starts = []
         for idx, plan in enumerate(self.cfg.sessions):
             node = self.by_id.get(plan.outlet_meter)
             if node is None or node.tier is not Tier.DEVICE:
@@ -441,8 +439,22 @@ class _Engine:
                 raise billing.NegativeEnergy(
                     f"session {idx}: energy_kwh must be nonnegative"
                 )
+            _require_nonnegative(f"session {idx}: start_s", plan.start_s)
+            _require_nonnegative(f"session {idx}: duration_s", plan.duration_s)
             if plan.start_s <= self.horizon:
-                self._schedule_step(plan.start_s, plan.outlet_meter, idx, _Step.INITIATE)
+                step = (idx, _Step.INITIATE)
+                starts.append(
+                    (plan.start_s, next(self.seq), _SESSION_STEP, plan.outlet_meter, step)
+                )
+        # Only the earliest start waits in the heap; handling it pushes the next.
+        starts.sort()
+        self.starts = iter(starts)
+        self._push_next_start()
+
+    def _push_next_start(self) -> None:
+        entry = next(self.starts, None)
+        if entry is not None:
+            heappush(self.heap, entry)
 
     # -- event handlers -----------------------------------------------
 
@@ -459,7 +471,7 @@ class _Engine:
                 self.generated += 1
                 self.bytes_gen += self.proc_size[idx]
                 # Keep the Poisson stream flowing: draw the next generation.
-                nxt = now + self.proc_stream[idx].next()
+                nxt = now + next(self.proc_stream[idx])
                 if nxt <= self.horizon:
                     self._spawn_process_message(idx, nxt)
             if self.messages is not None:
@@ -483,12 +495,12 @@ class _Engine:
         st.queue.append(transit)
         if not st.busy:
             st.busy = True
-            heappush(self.heap, (now, next(self.seq), _SERVICE_START, node, None))
+            self.now_queue.append((now, next(self.seq), _SERVICE_START, node, None))
 
     def _handle_service_start(self, now: float, node: NodeId, _data) -> None:
         st = self.servers[node]
         st.busy_since = now
-        done = now + st.service.next()
+        done = now + next(st.service)
         heappush(self.heap, (done, next(self.seq), _SERVICE_END, node, None))
 
     def _handle_service_end(self, now: float, node: NodeId, _data) -> None:
@@ -504,7 +516,7 @@ class _Engine:
             st.samples += 1
             st.sojourn_sum += now - transit.node_arrival
         if st.queue:
-            heappush(self.heap, (now, next(self.seq), _SERVICE_START, node, None))
+            self.now_queue.append((now, next(self.seq), _SERVICE_START, node, None))
         else:
             st.busy = False
         self._forward(now, node, transit)
@@ -515,16 +527,14 @@ class _Engine:
         if transit.hop_idx == len(hops) - 1:
             self.delivered += 1
             if transit.session_idx is not None:
-                self._schedule_step(now, node, transit.session_idx, transit.on_delivery)
+                step = (transit.session_idx, transit.on_delivery)
+                self.now_queue.append((now, next(self.seq), _SESSION_STEP, node, step))
         else:
             transit.hop_idx += 1
             at = now + self.hop_delay
             heappush(self.heap, (at, next(self.seq), _ARRIVAL, hops[transit.hop_idx], transit))
 
     # -- session protocol ----------------------------------------------
-
-    def _schedule_step(self, at: float, node: NodeId, idx: int, step: _Step) -> None:
-        heappush(self.heap, (at, next(self.seq), _SESSION_STEP, node, (idx, step)))
 
     def _send_session_message(
         self, now: float, idx: int, hops, size: int, on_delivery: _Step, msg
@@ -535,12 +545,13 @@ class _Engine:
         self.bytes_gen += size
         transit = _Transit(self.msg_id, hops, session_idx=idx, on_delivery=on_delivery, msg=msg)
         self.msg_id += 1
-        heappush(self.heap, (now, next(self.seq), _ARRIVAL, hops[0], transit))
+        self.now_queue.append((now, next(self.seq), _ARRIVAL, hops[0], transit))
 
     def _handle_session_step(self, now: float, node: NodeId, data) -> None:
         idx, step = data
         plan = self.cfg.sessions[idx]
         if step is _Step.INITIATE:
+            self._push_next_start()
             session = billing.initiate_session(
                 idx,
                 plan.vehicle_id,
@@ -575,26 +586,26 @@ class _Engine:
             reply_route = resolve_route(
                 session.owner_meter, session.outlet_meter, self.topo
             )
-            token = Payload(
-                kind=IDENTITY_TOKEN,
-                bytes_size=64,
-                body={"vehicle_id": session.vehicle_id},
-            )
-            envelope = seal(
-                token, {session.owner_meter, session.outlet_meter}, self.topo
-            )
             msg = None
             if self.messages is not None:
+                # The request's seal already checked these keyholders.
+                token = Payload(
+                    kind=IDENTITY_TOKEN,
+                    bytes_size=_APPROVAL_BYTES,
+                    body={"vehicle_id": session.vehicle_id},
+                )
                 msg = Message(
                     id=self.msg_id,
                     src=session.owner_meter,
                     dst=session.outlet_meter,
                     data_class=DataClass.PRIVATE,
-                    content=envelope,
+                    content=seal(
+                        token, {session.owner_meter, session.outlet_meter}, self.topo
+                    ),
                     created_at=now,
                 )
             self._send_session_message(
-                now, idx, reply_route.hops, token.bytes_size, _Step.APPROVAL_DELIVERED, msg
+                now, idx, reply_route.hops, _APPROVAL_BYTES, _Step.APPROVAL_DELIVERED, msg
             )
         elif step is _Step.APPROVAL_DELIVERED:
             self._begin_charging(now, idx)
@@ -607,9 +618,9 @@ class _Engine:
         session = billing.start_charging(session, now)
         self.sessions[idx] = session
         plan = self.cfg.sessions[idx]
-        self._schedule_step(
-            now + plan.duration_s, plan.outlet_meter, idx, _Step.CHARGE_COMPLETE
-        )
+        done = now + plan.duration_s
+        step = (idx, _Step.CHARGE_COMPLETE)
+        heappush(self.heap, (done, next(self.seq), _SESSION_STEP, plan.outlet_meter, step))
 
     def _apply_bess_schedule(self, now: float) -> None:
         schedule = self.bess_schedule
@@ -655,10 +666,10 @@ class _Engine:
             raise InvalidRunConfig(
                 f"warmup_s must satisfy 0 <= warmup < horizon, got {cfg.warmup_s!r}"
             )
-        if not (math.isfinite(cfg.hop_delay_s) and cfg.hop_delay_s >= 0):
-            raise InvalidRunConfig(
-                f"hop_delay_s must be finite and nonnegative, got {cfg.hop_delay_s!r}"
-            )
+        _require_nonnegative("hop_delay_s", cfg.hop_delay_s)
+        for i, entry in enumerate(cfg.bess_charge_schedule):
+            _require_nonnegative(f"bess_charge_schedule[{i}]: at_s", entry.at_s)
+            _require_nonnegative(f"bess_charge_schedule[{i}]: energy_kwh", entry.energy_kwh)
         violations = validate_topology(self.topo)
         if violations:
             raise InvalidTopology(violations)
@@ -667,6 +678,8 @@ class _Engine:
         self._setup_sessions()
 
         heap = self.heap
+        now_queue = self.now_queue
+        popleft = now_queue.popleft
         horizon = self.horizon
         handlers = (
             self._handle_arrival,
@@ -680,14 +693,26 @@ class _Engine:
         lines: list[str] = []
         append = lines.append
         n = 0
-        while heap:
-            time, seq, kind, node, data = heappop(heap)
+        last_time = time_repr = None
+        while True:
+            if now_queue:
+                # seq is unique, so the tuples compare on (time, seq) alone.
+                entry = heappop(heap) if heap and heap[0] < now_queue[0] else popleft()
+            elif heap:
+                entry = heappop(heap)
+            else:
+                break
+            time, seq, kind, node, data = entry
             if time > horizon:
                 break
             suffix = suffixes[kind].get(node)
             if suffix is None:
                 suffix = suffixes[kind][node] = f",{_KINDS[kind].value},{node}\n"
-            append(f"{time!r},{seq}{suffix}")
+            # Same object, same repr; equality would alias 0.0 and -0.0.
+            if time is not last_time:
+                last_time = time
+                time_repr = repr(time)
+            append(f"{time_repr},{seq}{suffix}")
             n += 1
             if not n % _DIGEST_FLUSH:
                 self.hasher.update("".join(lines).encode())
@@ -767,6 +792,11 @@ class _Engine:
             bess_final=self.bess,
             messages=self.messages,
         )
+
+
+def _require_nonnegative(what: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise InvalidRunConfig(f"{what} must be finite and nonnegative, got {value!r}")
 
 
 def _subject_of(kind: int, data) -> Optional[int]:

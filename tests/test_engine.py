@@ -1,10 +1,13 @@
 """Deterministic discrete-event engine: determinism, queue statistics,
 trace structure, session protocol, and energy sourcing."""
 
+import itertools
+
 import pytest
 from conftest import cloud_node, device_node, fog_node, grid_topology, make_topology
 
 import foggrid
+from foggrid import engine
 from foggrid import (
     GRID_TELEMETRY,
     METER_READING,
@@ -74,6 +77,15 @@ class TestDeterminism:
         assert plain.trace.digest == recorded.trace.digest
         assert plain.trace.events is None
         assert len(recorded.trace.events) == recorded.trace.event_count
+
+    @pytest.mark.parametrize("purpose, key", [(0, (1,)), (1, (2, 0)), (1, (7, 3))])
+    def test_draw_blocks_match_one_block(self, purpose, key):
+        # 2,000 draws span seven growing blocks (16, 32, ..., 512, 512).
+        n = 2000
+        draws = engine._exp_draws(engine._stream(5, purpose, *key), 0.4)
+        got = list(itertools.islice(draws, n))
+        assert got == engine._stream(5, purpose, *key).exponential(2.5, size=n).tolist()
+        assert all(type(v) is float for v in got)
 
     def test_added_area_leaves_existing_streams_untouched(self):
         # Random streams are keyed by node id and purpose, so growing the
@@ -561,6 +573,16 @@ class TestConfigValidation:
             dict(hop_delay_s=-0.5),
             dict(hop_delay_s=float("nan")),
             dict(hop_delay_s=float("inf")),
+            dict(sessions=(SessionPlan("ev", 2, 10.0, 1.0, duration_s=-500.0),)),
+            dict(sessions=(SessionPlan("ev", 2, 10.0, 1.0, duration_s=float("nan")),)),
+            dict(sessions=(SessionPlan("ev", 2, 10.0, 1.0, duration_s=float("inf")),)),
+            dict(sessions=(SessionPlan("ev", 2, -50.0, 1.0),)),
+            dict(sessions=(SessionPlan("ev", 2, float("nan"), 1.0),)),
+            dict(sessions=(SessionPlan("ev", 2, float("-inf"), 1.0),)),
+            dict(bess_charge_schedule=(BessChargeEntry(float("nan"), 1.0), BessChargeEntry(5.0, 1.0))),
+            dict(bess_charge_schedule=(BessChargeEntry(-1.0, 1.0),)),
+            dict(bess_charge_schedule=(BessChargeEntry(5.0, -2.0),)),
+            dict(bess_charge_schedule=(BessChargeEntry(5.0, float("inf")),)),
         ],
         ids=repr,
     )

@@ -5,12 +5,14 @@ Each scenario below is small enough to run in well under a second. The
 digests and summaries were produced by the code as it stood before the
 topology index and the native YAML loader went in; the recorded events,
 messages and nodes.csv bytes by the code as it stood before the event loop
-stopped building messages and event records it does not need. A change
+stopped building messages and event records it does not need; every pin of
+the same-instant scenario by the code as it stood before events scheduled
+at the current instant got a queue of their own beside the heap. A change
 that alters any of them changes simulation results and needs a documented
 reason, not a new pin. Together the scenarios cover the route patterns
 ComA, ComB, ComC, ComD and CloudDirect, both modes, a nonzero hop delay,
-sealed MeterReading traffic, billed and rejected sessions, and a battery
-top-up that is curtailed at capacity.
+sealed MeterReading traffic, billed and rejected sessions, a battery
+top-up that is curtailed at capacity, and events that share their time.
 """
 
 import dataclasses
@@ -121,6 +123,51 @@ SCENARIOS = {
             - {rate_per_s: 0.016666666666666666, target: 2, payload_kind: GridTelemetry, size_bytes: 64}
         """
     ),
+    # Same-instant ordering: with no hop delay, zero-duration sessions,
+    # sessions sharing a start time (one listed out of start order), a
+    # self-charge and a battery top-up at the same instant, and a process
+    # feeding fog node 1 directly, many events share their time and only
+    # seq orders them.
+    "same-instant": textwrap.dedent(
+        """
+        run: {seed: 23, horizon_s: 900.0, warmup_s: 30.0}
+        topology:
+          nodes:
+            - {id: 0, tier: cloud, service_rate_per_s: 0.7}
+            - {id: 1, tier: fog, area: 0, service_rate_per_s: 1.1}
+            - {id: 2, tier: fog, area: 1, service_rate_per_s: 0.9}
+            - {id: 3, tier: device, area: 0}
+            - {id: 4, tier: device, area: 0}
+            - {id: 5, tier: device, area: 1}
+            - {id: 6, tier: device, area: 1, account: carol}
+          fog_links:
+            - [1, 2]
+        workload:
+          arrival_processes:
+            - {rate_per_s: 0.35, target: 3, payload_kind: MeterReading, size_bytes: 120}
+            - {rate_per_s: 0.25, target: 1, payload_kind: GridTelemetry, size_bytes: 48}
+            - {rate_per_s: 0.2, target: 5, payload_kind: GridTelemetry, size_bytes: 64}
+          vehicle_registry:
+            ev-a: {meter: 4}
+            ev-b: {meter: 6}
+            ev-c: {meter: 3}
+          sessions:
+            - {vehicle_id: ev-a, outlet_meter: 3, start_s: 300.0, energy_kwh: 2.0}
+            - {vehicle_id: ev-b, outlet_meter: 3, start_s: 120.0, energy_kwh: 1.5}
+            - {vehicle_id: ev-c, outlet_meter: 5, start_s: 120.0, energy_kwh: 1.0, duration_s: 25.0}
+            - {vehicle_id: ev-c, outlet_meter: 3, start_s: 120.0, energy_kwh: 3.0}
+            - {vehicle_id: ev-a, outlet_meter: 5, start_s: 300.0, energy_kwh: 2.5}
+            - {vehicle_id: ev-b, outlet_meter: 4, start_s: 60.0, energy_kwh: 0.5, duration_s: 10.0}
+        models:
+          hop_delay_s: 0
+          grid_available: false
+          bess: {capacity_kwh: 8.0, soc_kwh: 2.0, efficiency: 0.8}
+          bess_charge_schedule:
+            - {at_s: 120.0, energy_kwh: 4.0}
+            - {at_s: 300.0, energy_kwh: 3.0}
+          tariff_per_kwh: 0.3
+        """
+    ),
 }
 
 GOLDEN_SUMMARY = {
@@ -200,6 +247,25 @@ amount_billed: 0
 trace_digest: a93fbce729e3286a
 events: 364
 """,
+    "same-instant": """\
+mode: fog-augmented
+seed: 23
+horizon_s: 900
+warmup_s: 30
+nodes: 7
+messages_generated: 716
+messages_delivered: 716
+mean_wait_s: 1.77514
+total_energy_mj: 138094
+total_message_bytes: 59072
+nlogn_processing_ms: 936302
+sessions_total: 6
+sessions_billed: 4
+energy_delivered_kwh: 7
+amount_billed: 2.1
+trace_digest: 70ea90ed481e12da
+events: 2693
+""",
 }
 
 GOLDEN_DIGEST = {
@@ -207,6 +273,7 @@ GOLDEN_DIGEST = {
     "cloud-roaming": "099610840cd897f3",
     "island-bess": "94b9fb86ff04a3f4",
     "single-queue": "a93fbce729e3286a",
+    "same-instant": "70ea90ed481e12da",
 }
 
 _NODES_HEADER = (
@@ -253,6 +320,16 @@ GOLDEN_NODES_CSV = {
 1,fog,0.0183838,53.7725,0.988546,0.608531,3012.23,1987.77,599433
 2,device,0.0183838,0,0,0,0,5000,0
 """,
+    "same-instant": _NODES_HEADER
+    + """\
+0,cloud,0,0,0,0,0,900,0
+1,fog,0.578161,1.85713,1.07376,0.513723,461.769,438.231,91892.1
+2,fog,0.22069,1.56034,0.344351,0.256491,232.169,667.831,46201.7
+3,device,0.329885,0,0,0,0,900,0
+4,device,0.00689655,0,0,0,0,900,0
+5,device,0.216092,0,0,0,0,900,0
+6,device,0.0045977,0,0,0,0,900,0
+""",
 }
 
 #: (event count, BLAKE2b-64 of one "time,seq,kind,node,subject" line per
@@ -262,6 +339,7 @@ GOLDEN_EVENTS = {
     "cloud-roaming": (1157, "32d756a71946324c"),
     "island-bess": (996, "0bc4ccc8c46db21d"),
     "single-queue": (364, "fa79d32e83a0cd04"),
+    "same-instant": (2693, "2489c4aba8fa813d"),
 }
 
 #: (message count, BLAKE2b-64 of one line per message, in mapping order)
