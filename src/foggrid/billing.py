@@ -7,8 +7,10 @@ the consumption is debited to the vehicle owner's account, never the
 outlet owner's.
 
 Sessions are immutable values: every transition returns a new session, and
-only the transitions declared here exist. Out-of-order calls raise
-InvalidState.
+only the transitions declared in TRANSITIONS exist. ChargingSession._advance
+is the one place that checks them; out-of-order calls raise InvalidState.
+This module also builds both protocol messages, the request and the
+approval.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Mapping, Optional
 from .errors import FogGridError
 from .messages import (
     CHARGE_REQUEST,
+    IDENTITY_TOKEN,
     DataClass,
     Message,
     NoRoute,
@@ -30,6 +33,11 @@ from .messages import (
     seal,
 )
 from .topology import NodeId, Tier, Topology
+
+
+#: Payload bytes of the outlet's charge request and the owner's approval.
+REQUEST_BYTES = 128
+APPROVAL_BYTES = 64
 
 
 class UnknownOutlet(FogGridError):
@@ -213,20 +221,9 @@ def resolve_owner(
             None,
             None,
         )
-    request = Payload(
-        kind=CHARGE_REQUEST,
-        bytes_size=128,
-        body={"vehicle_id": s.vehicle_id, "session_id": s.session_id},
-    )
-    envelope = seal(request, {s.outlet_meter, owner}, t)
-    message = Message(
-        id=message_id,
-        src=s.outlet_meter,
-        dst=owner,
-        data_class=DataClass.PRIVATE,
-        content=envelope,
-        created_at=at_s,
-    )
+    body = {"vehicle_id": s.vehicle_id, "session_id": s.session_id}
+    request = Payload(kind=CHARGE_REQUEST, bytes_size=REQUEST_BYTES, body=body)
+    message = _sealed_message(request, s.outlet_meter, owner, t, message_id, at_s)
     resolved = s._advance(
         SessionState.OWNER_RESOLVED,
         owner_meter=owner,
@@ -235,27 +232,42 @@ def resolve_owner(
     return resolved, message, route
 
 
+def approval_message(
+    s: ChargingSession, t: Topology, message_id: int, at_s: float
+) -> Message:
+    """The owner meter's identity confirmation, sent back to the outlet
+    once the charge request arrives."""
+    body = {"vehicle_id": s.vehicle_id}
+    token = Payload(kind=IDENTITY_TOKEN, bytes_size=APPROVAL_BYTES, body=body)
+    return _sealed_message(token, s.owner_meter, s.outlet_meter, t, message_id, at_s)
+
+
+def _sealed_message(
+    p: Payload, src: NodeId, dst: NodeId, t: Topology, message_id: int, at_s: float
+) -> Message:
+    """``p`` as a private message that only ``src`` and ``dst`` can open."""
+    envelope = seal(p, {src, dst}, t)
+    return Message(
+        id=message_id,
+        src=src,
+        dst=dst,
+        data_class=DataClass.PRIVATE,
+        content=envelope,
+        created_at=at_s,
+    )
+
+
 def authorize(s: ChargingSession) -> ChargingSession:
     """Advance OWNER_RESOLVED -> AUTHORIZED.
 
     Authorization is automatic on identity match; an explicit owner
     approval step would hook in here.
     """
-    if s.state is not SessionState.OWNER_RESOLVED:
-        raise InvalidState(
-            f"session {s.session_id}: authorize requires state "
-            f"owner-resolved, found {s.state.value}"
-        )
     return s._advance(SessionState.AUTHORIZED)
 
 
 def start_charging(s: ChargingSession, at_s: float) -> ChargingSession:
     """Advance AUTHORIZED -> CHARGING and stamp the start time."""
-    if s.state is not SessionState.AUTHORIZED:
-        raise InvalidState(
-            f"session {s.session_id}: start_charging requires state "
-            f"authorized, found {s.state.value}"
-        )
     return s._advance(SessionState.CHARGING, started_at=at_s)
 
 
@@ -270,11 +282,6 @@ def meter_energy(
         raise NegativeEnergy(f"delivered energy must be >= 0, got {delivered_kwh!r}")
     if s.state is SessionState.AUTHORIZED:
         s = s._advance(SessionState.CHARGING, started_at=at_s)
-    if s.state is not SessionState.CHARGING:
-        raise InvalidState(
-            f"session {s.session_id}: meter_energy requires state authorized "
-            f"or charging, found {s.state.value}"
-        )
     return s._advance(SessionState.METERED, energy_kwh=delivered_kwh, ended_at=at_s)
 
 
@@ -284,11 +291,7 @@ def settle_bill(
     """Debit the metered energy to the vehicle owner's account."""
     if tariff_per_kwh <= 0:
         raise NonpositiveTariff(f"tariff must be positive, got {tariff_per_kwh!r}")
-    if s.state is not SessionState.METERED:
-        raise InvalidState(
-            f"session {s.session_id}: settle_bill requires state metered, "
-            f"found {s.state.value}"
-        )
+    billed = s._advance(SessionState.BILLED)
     identity = registry.get(s.vehicle_id)
     if identity is None:
         raise InvalidState(
@@ -302,7 +305,7 @@ def settle_bill(
         amount=s.energy_kwh * tariff_per_kwh,
         tariff_per_kwh=tariff_per_kwh,
     )
-    return s._advance(SessionState.BILLED), bill
+    return billed, bill
 
 
 def reject_session(s: ChargingSession, reason: str) -> ChargingSession:

@@ -64,18 +64,17 @@ from .energy import (
 from .errors import FogGridError
 from .messages import (
     DEFAULT_CLASSIFICATION,
-    IDENTITY_TOKEN,
     DataClass,
     Message,
-    NoRoute,
     Payload,
     UnknownNode,
     classify,
     resolve_route,
     seal,
+    serving_node,
 )
 from .queueing import QueueStats
-from .topology import InvalidTopology, Mode, NodeId, Tier, Topology, validate_topology
+from .topology import InvalidTopology, NodeId, Tier, Topology, validate_topology
 
 # Purpose codes for deriving per-(node, purpose) random streams.
 _PURPOSE_SERVICE = 0
@@ -83,14 +82,12 @@ _PURPOSE_ARRIVAL = 1
 
 _DIGEST_FLUSH = 4096
 
-# Payload size of a session's identity-token approval.
-_APPROVAL_BYTES = 64
-
 
 class InvalidRunConfig(FogGridError, ValueError):
     """A RunConfig breaks an engine precondition: the horizon, warmup,
-    hop delay, an arrival rate, a message size, a session's start or
-    duration, or a battery top-up's time or energy is out of range."""
+    hop delay, tariff, an arrival rate, a message size, a session's start,
+    duration or energy, or a battery top-up's time or energy is out of
+    range."""
 
 
 class EventKind(Enum):
@@ -211,30 +208,19 @@ class SimResult:
 
 class _Transit:
     """A message in flight: its route and current position. A session
-    message names the step its delivery triggers; ``msg`` is set only for
-    session messages, and for an approval only when events are recorded."""
+    message carries ``step``, the (session index, _Step) its delivery
+    triggers; ``msg`` is set only for session messages, and for an
+    approval only when events are recorded."""
 
-    __slots__ = (
-        "msg_id",
-        "hops",
-        "hop_idx",
-        "node_arrival",
-        "process_idx",
-        "session_idx",
-        "on_delivery",
-        "msg",
-    )
+    __slots__ = ("msg_id", "hops", "hop_idx", "node_arrival", "process_idx", "step", "msg")
 
-    def __init__(
-        self, msg_id, hops, process_idx=None, session_idx=None, on_delivery=None, msg=None
-    ):
+    def __init__(self, msg_id, hops, process_idx=None, step=None, msg=None):
         self.msg_id = msg_id
         self.hops = hops
         self.hop_idx = 0
         self.node_arrival = 0.0
         self.process_idx = process_idx
-        self.session_idx = session_idx
-        self.on_delivery = on_delivery
+        self.step = step
         self.msg = msg
 
 
@@ -344,17 +330,6 @@ class _Engine:
 
     # -- setup --------------------------------------------------------
 
-    def _serving_node(self, device_id: NodeId) -> NodeId:
-        node = self.by_id[device_id]
-        if node.tier is not Tier.DEVICE:
-            return node.id
-        if self.topo.mode is Mode.CLOUD_ONLY:
-            return self.topo.cloud_id
-        fog = self.topo.fog_for_area(node.area)
-        if fog is None:
-            raise NoRoute(f"area {node.area} of device {device_id} has no fog node")
-        return fog.id
-
     def _setup_processes(self) -> None:
         cfg = self.cfg
         self.proc_stream: list[Optional[Iterator[float]]] = []
@@ -380,7 +355,7 @@ class _Engine:
                 )
             else:
                 stream = None
-            serving = self._serving_node(proc.target)
+            serving = serving_node(self.by_id[proc.target], self.topo)
             if serving == proc.target:
                 hops: tuple[NodeId, ...] = (proc.target,)
             else:
@@ -439,6 +414,7 @@ class _Engine:
                 raise billing.NegativeEnergy(
                     f"session {idx}: energy_kwh must be nonnegative"
                 )
+            _require_nonnegative(f"session {idx}: energy_kwh", plan.energy_kwh)
             _require_nonnegative(f"session {idx}: start_s", plan.start_s)
             _require_nonnegative(f"session {idx}: duration_s", plan.duration_s)
             if plan.start_s <= self.horizon:
@@ -526,9 +502,8 @@ class _Engine:
         hops = transit.hops
         if transit.hop_idx == len(hops) - 1:
             self.delivered += 1
-            if transit.session_idx is not None:
-                step = (transit.session_idx, transit.on_delivery)
-                self.now_queue.append((now, next(self.seq), _SESSION_STEP, node, step))
+            if transit.step is not None:
+                self.now_queue.append((now, next(self.seq), _SESSION_STEP, node, transit.step))
         else:
             transit.hop_idx += 1
             at = now + self.hop_delay
@@ -536,14 +511,12 @@ class _Engine:
 
     # -- session protocol ----------------------------------------------
 
-    def _send_session_message(
-        self, now: float, idx: int, hops, size: int, on_delivery: _Step, msg
-    ) -> None:
+    def _send_session_message(self, now: float, hops, size: int, step, msg) -> None:
         """Put a session message of ``size`` payload bytes on the wire
         under the next message id."""
         self.generated += 1
         self.bytes_gen += size
-        transit = _Transit(self.msg_id, hops, session_idx=idx, on_delivery=on_delivery, msg=msg)
+        transit = _Transit(self.msg_id, hops, step=step, msg=msg)
         self.msg_id += 1
         self.now_queue.append((now, next(self.seq), _ARRIVAL, hops[0], transit))
 
@@ -573,40 +546,19 @@ class _Engine:
                 # Self-charge: no network round-trip needed.
                 self._begin_charging(now, idx)
             else:
-                size = msg.content.inner.bytes_size
-                self._send_session_message(
-                    now, idx, route.hops, size, _Step.REQUEST_DELIVERED, msg
-                )
+                next_step = (idx, _Step.REQUEST_DELIVERED)
+                self._send_session_message(now, route.hops, billing.REQUEST_BYTES, next_step, msg)
         elif step is _Step.REQUEST_DELIVERED:
-            session = self.sessions[idx]
-            if session is None or session.state is not SessionState.OWNER_RESOLVED:
-                return
             # Owner's meter answers with the identity confirmation; the
-            # round-trip completes back at the outlet.
-            reply_route = resolve_route(
-                session.owner_meter, session.outlet_meter, self.topo
-            )
+            # round-trip completes back at the outlet. The approval Message
+            # is built only to be recorded.
+            session = self.sessions[idx]
+            hops = resolve_route(session.owner_meter, session.outlet_meter, self.topo).hops
             msg = None
             if self.messages is not None:
-                # The request's seal already checked these keyholders.
-                token = Payload(
-                    kind=IDENTITY_TOKEN,
-                    bytes_size=_APPROVAL_BYTES,
-                    body={"vehicle_id": session.vehicle_id},
-                )
-                msg = Message(
-                    id=self.msg_id,
-                    src=session.owner_meter,
-                    dst=session.outlet_meter,
-                    data_class=DataClass.PRIVATE,
-                    content=seal(
-                        token, {session.owner_meter, session.outlet_meter}, self.topo
-                    ),
-                    created_at=now,
-                )
-            self._send_session_message(
-                now, idx, reply_route.hops, _APPROVAL_BYTES, _Step.APPROVAL_DELIVERED, msg
-            )
+                msg = billing.approval_message(session, self.topo, self.msg_id, now)
+            next_step = (idx, _Step.APPROVAL_DELIVERED)
+            self._send_session_message(now, hops, billing.APPROVAL_BYTES, next_step, msg)
         elif step is _Step.APPROVAL_DELIVERED:
             self._begin_charging(now, idx)
         elif step is _Step.CHARGE_COMPLETE:
@@ -667,6 +619,8 @@ class _Engine:
                 f"warmup_s must satisfy 0 <= warmup < horizon, got {cfg.warmup_s!r}"
             )
         _require_nonnegative("hop_delay_s", cfg.hop_delay_s)
+        if not math.isfinite(cfg.tariff_per_kwh):
+            raise InvalidRunConfig(f"tariff_per_kwh must be finite, got {cfg.tariff_per_kwh!r}")
         for i, entry in enumerate(cfg.bess_charge_schedule):
             _require_nonnegative(f"bess_charge_schedule[{i}]: at_s", entry.at_s)
             _require_nonnegative(f"bess_charge_schedule[{i}]: energy_kwh", entry.energy_kwh)

@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Mapping, Union
 
 from .errors import FogGridError
-from .topology import Mode, NodeId, Tier, Topology
+from .topology import Mode, Node, NodeId, Tier, Topology
 
 # Canonical payload kinds. The classification table is open: scenarios may
 # define their own kinds as long as the table covers them.
@@ -187,6 +187,21 @@ def classify_route_pattern(hops, t: Topology) -> RoutePattern:
     return RoutePattern.COM_A
 
 
+def serving_node(n: Node, t: Topology) -> NodeId:
+    """The node that serves ``n``'s traffic: a fog or cloud node serves
+    itself; a device is served by the cloud in cloud-only mode, else by
+    its area's fog gateway. Raises NoRoute for a device whose area has no
+    gateway."""
+    if n.tier is not Tier.DEVICE:
+        return n.id
+    if t.mode is Mode.CLOUD_ONLY:
+        return t.cloud_id
+    fog = t.fog_for_area(n.area)
+    if fog is None:
+        raise NoRoute(f"area {n.area} of device {n.id} has no fog node")
+    return fog.id
+
+
 def resolve_route(src: NodeId, dst: NodeId, t: Topology) -> Route:
     """Resolve the tier-respecting route from ``src`` to ``dst``.
 
@@ -214,14 +229,6 @@ def resolve_route(src: NodeId, dst: NodeId, t: Topology) -> Route:
             hops = (src, t.cloud_id, dst)
         return Route(pattern=RoutePattern.CLOUD_DIRECT, hops=hops)
 
-    def gateway(n) -> NodeId:
-        if n.tier is not Tier.DEVICE:
-            return n.id
-        fog = t.fog_for_area(n.area)
-        if fog is None:
-            raise NoRoute(f"area {n.area} of device {n.id} has no fog node")
-        return fog.id
-
     # Same area, both device tier: stay local.
     if (
         a.tier is Tier.DEVICE
@@ -231,8 +238,8 @@ def resolve_route(src: NodeId, dst: NodeId, t: Topology) -> Route:
         return Route(pattern=RoutePattern.COM_A, hops=(src, dst))
 
     # Climb from each endpoint to its gateway (identity for fog/cloud).
-    up_a = gateway(a)
-    up_b = gateway(b)
+    up_a = serving_node(a, t)
+    up_b = serving_node(b, t)
 
     middle: tuple[NodeId, ...]
     if up_a == up_b:

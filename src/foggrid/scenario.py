@@ -490,7 +490,8 @@ def _build(doc: Any) -> ScenarioConfig:
         raise SchemaError(r.problems)
 
     # -- reference stage ---------------------------------------------------
-    by_id = {n.id: n for n in nodes}
+    topology = make_topology(nodes, links, mode)
+    by_id = topology.by_id()
     dangling: list[str] = []
     for i, proc in enumerate(processes):
         if proc.target not in by_id:
@@ -530,7 +531,6 @@ def _build(doc: Any) -> ScenarioConfig:
         raise DanglingReference(dangling)
 
     # -- topology stage ------------------------------------------------------
-    topology = make_topology(nodes, links, mode)
     violations = validate_topology(topology)
     if violations:
         raise InvalidTopology(violations)

@@ -351,7 +351,7 @@ def validate_topology(t: Topology) -> list[Violation]:
                         )
                     )
 
-    by_id = {n.id: n for n in t.nodes}
+    by_id = t.by_id()
     for link in sorted(t.fog_links, key=sorted):
         ids = sorted(link)
         if len(ids) != 2:

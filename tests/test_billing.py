@@ -4,6 +4,9 @@ import pytest
 from conftest import grid_topology
 
 from foggrid import (
+    IDENTITY_TOKEN,
+    ChargingSession,
+    DataClass,
     InvalidState,
     MeterIdentity,
     NegativeEnergy,
@@ -22,6 +25,7 @@ from foggrid import (
     settle_bill,
     start_charging,
 )
+from foggrid.billing import APPROVAL_BYTES, approval_message
 
 # Two areas, no fog link: cloud 0, fogs 1-2, devices 3,4 (area 0) and
 # 5,6 (area 1). Vehicle "ev-1" lives at meter 5 and roams to outlet 3.
@@ -83,6 +87,25 @@ class TestLifecycle:
         s = meter_energy(authorize(s), 0.0)
         _, bill = settle_bill(s, 0.2, REGISTRY)
         assert bill.amount == 0.0
+
+
+class TestApprovalMessage:
+    def test_identity_token_sealed_to_owner_and_outlet(self):
+        s, _, _ = resolve_owner(roaming_session(), REGISTRY, TOPOLOGY)
+        message = approval_message(s, TOPOLOGY, message_id=7, at_s=12.5)
+        assert (message.id, message.src, message.dst) == (7, 5, 3)
+        assert message.data_class is DataClass.PRIVATE
+        assert message.created_at == 12.5
+        env = message.content
+        assert env.keyholders == frozenset({3, 5})
+        for holder in (3, 5):
+            token = open_envelope(env, holder)
+            assert token.kind == IDENTITY_TOKEN
+            assert token.bytes_size == APPROVAL_BYTES
+        # Outlet 3 sits behind fog 1, owner 5 behind fog 2.
+        for fog in (1, 2):
+            with pytest.raises(NotKeyholder):
+                open_envelope(env, fog)
 
 
 class TestResolveOwner:
@@ -156,6 +179,41 @@ class TestGuards:
         s, _ = settle_bill(s, 0.2, REGISTRY)
         with pytest.raises(InvalidState):
             settle_bill(s, 0.2, REGISTRY)
+
+
+#: Each step function, the states it may be called from, and the state
+#: it leaves the session in.
+STEPS = {
+    "authorize": (authorize, {SessionState.OWNER_RESOLVED}, SessionState.AUTHORIZED),
+    "start_charging": (
+        lambda s: start_charging(s, 0.0),
+        {SessionState.AUTHORIZED},
+        SessionState.CHARGING,
+    ),
+    "meter_energy": (
+        lambda s: meter_energy(s, 1.0),
+        {SessionState.AUTHORIZED, SessionState.CHARGING},
+        SessionState.METERED,
+    ),
+    "settle_bill": (
+        lambda s: settle_bill(s, 0.2, REGISTRY)[0],
+        {SessionState.METERED},
+        SessionState.BILLED,
+    ),
+}
+
+
+class TestStateTable:
+    @pytest.mark.parametrize("state", list(SessionState), ids=lambda s: s.value)
+    @pytest.mark.parametrize("step", sorted(STEPS))
+    def test_step_runs_only_from_its_edge(self, step, state):
+        call, sources, target = STEPS[step]
+        s = ChargingSession(1, "ev-1", 3, state, owner_meter=5)
+        if state in sources:
+            assert call(s).state is target
+        else:
+            with pytest.raises(InvalidState):
+                call(s)
 
 
 class TestRejection:

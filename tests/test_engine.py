@@ -583,6 +583,10 @@ class TestConfigValidation:
             dict(bess_charge_schedule=(BessChargeEntry(-1.0, 1.0),)),
             dict(bess_charge_schedule=(BessChargeEntry(5.0, -2.0),)),
             dict(bess_charge_schedule=(BessChargeEntry(5.0, float("inf")),)),
+            dict(sessions=(SessionPlan("ev", 2, 10.0, float("nan")),)),
+            dict(sessions=(SessionPlan("ev", 2, 10.0, float("inf")),)),
+            dict(tariff_per_kwh=float("nan")),
+            dict(tariff_per_kwh=float("inf")),
         ],
         ids=repr,
     )

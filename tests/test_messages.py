@@ -43,6 +43,7 @@ from foggrid import (
     resolve_route,
     seal,
 )
+from foggrid.messages import serving_node
 
 
 class TestClassification:
@@ -217,6 +218,28 @@ class TestRouteErrors:
         t = make_topology([cloud_node(), device_node(1, area=0)])
         with pytest.raises(NoRoute):
             resolve_route(1, 0, t)
+
+
+class TestServingNode:
+    def test_device_in_cloud_only_mode_is_served_by_the_cloud(self):
+        t = grid_topology(mode=Mode.CLOUD_ONLY)
+        assert serving_node(t.node(3), t) == 0
+
+    def test_device_in_fog_mode_is_served_by_its_gateway(self):
+        t = grid_topology()
+        assert serving_node(t.node(3), t) == 1
+        assert serving_node(t.node(5), t) == 2
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_fog_and_cloud_nodes_serve_themselves(self, mode):
+        t = grid_topology(mode=mode)
+        for node_id in (0, 1, 2):
+            assert serving_node(t.node(node_id), t) == node_id
+
+    def test_orphan_area_has_no_route(self):
+        t = make_topology([cloud_node(), device_node(1, area=0)])
+        with pytest.raises(NoRoute, match="area 0 of device 1 has no fog node"):
+            serving_node(t.node(1), t)
 
 
 class TestRouteProperties:
