@@ -627,6 +627,13 @@ class _Engine:
         violations = validate_topology(self.topo)
         if violations:
             raise InvalidTopology(violations)
+        for vehicle, identity in cfg.vehicle_registry.items():
+            meter = self.by_id.get(identity.meter)
+            if meter is None or meter.tier is not Tier.DEVICE:
+                raise InvalidRunConfig(
+                    f"vehicle_registry[{vehicle!r}]: meter {identity.meter} "
+                    "is not a device-tier node"
+                )
 
         self._setup_processes()
         self._setup_sessions()

@@ -22,12 +22,22 @@ checks (DanglingReference) and structural topology checks
 (InvalidTopology) run only once the schema is clean, so their messages
 can assume well-typed fields.
 
-Documents load through PyYAML's libyaml-backed ``CSafeLoader`` when the
-installed PyYAML was built with libyaml, and through the pure-Python
+Documents are composed by PyYAML's libyaml-backed ``CSafeLoader`` when the
+installed PyYAML was built with libyaml, and by the pure-Python
 ``SafeLoader`` otherwise. Both apply the same safe constructors and YAML
 1.1 resolver, so they build equal documents; only the wording of an
 invalid-YAML message differs (libyaml's, e.g. "did not find expected ','
 or ']'"), while its line and column are the same.
+
+The composed nodes are built by one flat walk (:func:`_build_node`): a
+``str`` scalar is its text, any other scalar goes through the loader's
+own constructor for its tag, a ``map`` node becomes a dict and a ``seq``
+node a list. Aliases, merge (``<<``) and value (``=``) keys, non-scalar
+keys, collection tags such as ``!!set`` or ``!!omap``, unknown tags and
+every error fall back to the loader's ``construct_document`` on the same
+node, which is PyYAML's constructor itself. The cyclic garbage collector
+is paused while a document is composed and built, and only then; its
+earlier state is restored afterwards.
 
 YAML 1.1 quirk worth knowing: ``1e6`` reads as a string, not a float.
 Write ``1000000`` or ``1.0e+6``. Numbers must be finite: ``.inf`` and
@@ -36,11 +46,14 @@ Write ``1000000`` or ``1.0e+6``. Numbers must be finite: ``.inf`` and
 
 from __future__ import annotations
 
+import gc
+import inspect
 import math
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 import yaml
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from .billing import MeterIdentity
 from .engine import ArrivalProcess, BessChargeEntry, RunConfig, SessionPlan
@@ -90,6 +103,19 @@ _DEFAULT_SPEC = {
 
 #: The libyaml-backed safe loader where PyYAML has it; same documents.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+#: The loader's scalar constructors that return their value directly;
+#: the collection constructors are generators and stay with PyYAML.
+_SCALAR_CONSTRUCTORS = {
+    tag: construct
+    for tag, construct in _LOADER.yaml_constructors.items()
+    if tag is not None and not inspect.isgeneratorfunction(construct)
+}
+_STR_TAG = "tag:yaml.org,2002:str"
+_MAP_TAG = "tag:yaml.org,2002:map"
+_SEQ_TAG = "tag:yaml.org,2002:seq"
+#: Key tags whose mappings PyYAML rewrites before building them.
+_SPECIAL_KEY_TAGS = ("tag:yaml.org,2002:merge", "tag:yaml.org,2002:value")
 
 _SPEC_KEYS = ("cpu_mhz", "cores", "memory_mb", "power_active_mw", "power_idle_mw")
 
@@ -278,7 +304,7 @@ def parse_config(text: str) -> ScenarioConfig:
     every problem found at its stage.
     """
     try:
-        doc = yaml.load(text, Loader=_LOADER)
+        doc = _load(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = (
@@ -298,6 +324,68 @@ def parse_config(text: str) -> ScenarioConfig:
         # integer literal longer than Python converts from text.
         raise SchemaError([f"document: invalid YAML ({exc})"]) from None
     return _build(doc)
+
+
+class _Fallback(Exception):
+    """A node shape that :func:`_build_node` leaves to PyYAML."""
+
+
+def _load(text: str) -> Any:
+    """``yaml.load(text, Loader=_LOADER)``, built by :func:`_build_node`.
+
+    The cyclic garbage collector is paused while the document is composed
+    and built (it would otherwise scan the young nodes and containers
+    again and again), then left as it was found.
+    """
+    loader = _LOADER(text)
+    try:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            node = loader.get_single_node()
+            if node is None:
+                return None
+            try:
+                return _build_node(loader, node, set())
+            except Exception:
+                # The shapes left to PyYAML, and any error, which PyYAML
+                # then raises in its own order (it builds breadth-first).
+                return loader.construct_document(node)
+        finally:
+            if enabled:
+                gc.enable()
+    finally:
+        loader.dispose()
+
+
+def _build_node(loader, node, seen: set) -> Any:
+    """The document of ``node``, built as the module docstring says.
+
+    Raises _Fallback on a shape it leaves to PyYAML. ``seen`` holds the
+    collection nodes built so far, so an alias is one reached again.
+    """
+    cls = node.__class__
+    tag = node.tag
+    if cls is ScalarNode:
+        if tag == _STR_TAG:
+            return node.value
+        construct = _SCALAR_CONSTRUCTORS.get(tag)
+        if construct is None:
+            raise _Fallback
+        return construct(loader, node)
+    if node in seen:
+        raise _Fallback
+    seen.add(node)
+    if cls is MappingNode and tag == _MAP_TAG:
+        data = {}
+        for key_node, value_node in node.value:
+            if key_node.__class__ is not ScalarNode or key_node.tag in _SPECIAL_KEY_TAGS:
+                raise _Fallback
+            data[_build_node(loader, key_node, seen)] = _build_node(loader, value_node, seen)
+        return data
+    if cls is SequenceNode and tag == _SEQ_TAG:
+        return [_build_node(loader, child, seen) for child in node.value]
+    raise _Fallback
 
 
 def load_config(path) -> ScenarioConfig:
@@ -560,9 +648,10 @@ def with_mode(sc: ScenarioConfig, mode: Mode) -> ScenarioConfig:
 
     The flipped topology must still validate (a fog-augmented run needs a
     fog node in every device area, which a cloud-only authored config may
-    lack).
+    lack). The flipped topology keeps the source's indexes and validation
+    report, so only the orphan-area rule is applied again.
     """
-    topo = replace(sc.run_config.topology, mode=mode)
+    topo = sc.run_config.topology.with_mode(mode)
     violations = validate_topology(topo)
     if violations:
         raise InvalidTopology(violations)

@@ -11,7 +11,7 @@ violations as data rather than raising.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 from functools import cached_property
 from typing import Optional
@@ -148,7 +148,9 @@ class Topology:
 
     Node lookups go through two indexes built on first use and kept for
     the life of the instance (the fields are immutable, so they never go
-    stale). The dict returned by :meth:`by_id` is shared: do not mutate it.
+    stale), and so does the mode-independent part of the validation
+    report. :meth:`with_mode` hands all three to the flipped topology.
+    The dict returned by :meth:`by_id` is shared: do not mutate it.
     """
 
     nodes: tuple[Node, ...]
@@ -169,6 +171,19 @@ class Topology:
             if n.tier is Tier.FOG:
                 index.setdefault(n.area, n)
         return index
+
+    @cached_property
+    def _report(self) -> tuple[tuple[Violation, ...], ...]:
+        return _mode_free_report(self)
+
+    def with_mode(self, mode: Mode) -> Topology:
+        """This node set in ``mode``, sharing this topology's indexes and
+        validation report (none of them depends on the mode)."""
+        flipped = replace(self, mode=mode)
+        flipped.__dict__.update(
+            _by_id=self._by_id, _fog_by_area=self._fog_by_area, _report=self._report
+        )
+        return flipped
 
     def node(self, node_id: NodeId) -> Node:
         try:
@@ -259,8 +274,19 @@ def validate_topology(t: Topology) -> list[Violation]:
     """Check every structural invariant of ``t``.
 
     Returns one Violation per problem; an empty list means the topology is
-    well-formed. Pure: identical inputs yield identical reports.
+    well-formed. Pure: identical inputs yield identical reports. Only the
+    orphan-area rule depends on the mode, so the checks run once per node
+    set and each call applies that rule to the cached report.
     """
+    nodes, orphans, links = t._report
+    if t.mode is Mode.FOG_AUGMENTED:
+        return [*nodes, *orphans, *links]
+    return [*nodes, *links]
+
+
+def _mode_free_report(t: Topology) -> tuple[tuple[Violation, ...], ...]:
+    """The node checks, the orphan areas (a violation in fog-augmented
+    mode only) and the fog-link checks of ``t``, in report order."""
     report: list[Violation] = []
 
     seen: set[NodeId] = set()
@@ -339,32 +365,30 @@ def validate_topology(t: Topology) -> list[Violation]:
                 )
             )
 
-    if t.mode is Mode.FOG_AUGMENTED:
-        for n in t.nodes:
-            if n.tier is Tier.DEVICE and n.area is not None:
-                if n.area not in fog_by_area:
-                    report.append(
-                        Violation(
-                            "orphan area",
-                            f"device {n.id} is in area {n.area}, which has "
-                            "no fog node",
-                        )
-                    )
+    orphans = tuple(
+        Violation(
+            "orphan area",
+            f"device {n.id} is in area {n.area}, which has no fog node",
+        )
+        for n in t.nodes
+        if n.tier is Tier.DEVICE and n.area is not None and n.area not in fog_by_area
+    )
 
+    links: list[Violation] = []
     by_id = t.by_id()
     for link in sorted(t.fog_links, key=sorted):
         ids = sorted(link)
         if len(ids) != 2:
-            report.append(Violation("self link", f"fog link {ids} joins a node to itself"))
+            links.append(Violation("self link", f"fog link {ids} joins a node to itself"))
             continue
         a, b = ids
         for end in (a, b):
             if end not in by_id:
-                report.append(
+                links.append(
                     Violation("dangling link", f"fog link ({a}, {b}) references unknown node {end}")
                 )
             elif by_id[end].tier is not Tier.FOG:
-                report.append(
+                links.append(
                     Violation(
                         "link tier",
                         f"fog link ({a}, {b}) endpoint {end} is "
@@ -372,4 +396,4 @@ def validate_topology(t: Topology) -> list[Violation]:
                     )
                 )
 
-    return report
+    return tuple(report), orphans, tuple(links)

@@ -445,7 +445,8 @@ class TestEnergySourcing:
         )
 
     def registry(self):
-        return {"home": MeterIdentity(meter=3, owner_account="acct-home")}
+        # grid_topology(areas=1, devices_per_area=1): device 2 is the meter.
+        return {"home": MeterIdentity(meter=2, owner_account="acct-home")}
 
     def config(self, **overrides):
         base = dict(
@@ -587,6 +588,15 @@ class TestConfigValidation:
             dict(sessions=(SessionPlan("ev", 2, 10.0, float("inf")),)),
             dict(tariff_per_kwh=float("nan")),
             dict(tariff_per_kwh=float("inf")),
+            # Registry meters that are not device-tier nodes: fog 1, cloud 0,
+            # and an id the topology does not define.
+            *(
+                dict(
+                    vehicle_registry={"ev": MeterIdentity(meter, "acct")},
+                    sessions=(SessionPlan("ev", 2, 10.0, 1.0),),
+                )
+                for meter in (1, 0, 99999)
+            ),
         ],
         ids=repr,
     )
@@ -595,6 +605,14 @@ class TestConfigValidation:
             foggrid.run(one_area_config(**overrides))
         assert isinstance(exc.value, FogGridError)
         assert isinstance(exc.value, ValueError)
+
+    def test_registry_meter_error_names_the_vehicle(self):
+        registry = {"ev-a": MeterIdentity(2, "a"), "ev-b": MeterIdentity(1, "b")}
+        with pytest.raises(InvalidRunConfig) as exc:
+            foggrid.run(one_area_config(vehicle_registry=registry))
+        assert str(exc.value) == (
+            "vehicle_registry['ev-b']: meter 1 is not a device-tier node"
+        )
 
     @pytest.mark.parametrize(
         "rate, size",

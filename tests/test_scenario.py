@@ -1,12 +1,19 @@
 """Scenario file parsing: schema, references, topology, and overrides."""
 
+import gc
+import importlib.util
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 import yaml
 from conftest import FINITE_FIELDS, NONFINITE_YAML, finite_field_scenario
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_golden import SCENARIOS as GOLDEN_SCENARIOS
 
+from foggrid import topology as topology_module
 from foggrid import (
     DEFAULT_WARMUP_FRACTION,
     BessState,
@@ -22,7 +29,8 @@ from foggrid import (
     with_mode,
     with_overrides,
 )
-from foggrid.scenario import _LOADER
+from foggrid.cli import EXIT_OK, main
+from foggrid.scenario import _LOADER, _load
 
 MINIMAL = textwrap.dedent(
     """
@@ -308,6 +316,98 @@ YAML_QUIRKS = textwrap.dedent(
 )
 
 
+INVALID_YAML = [
+    "run: [1, 2\n",
+    "run: {horizon_s: 1\n",
+    "run: {horizon_s: 1}}\n",
+    "a: b: c\n",
+    "run:\n  horizon_s: 1\n bad: 2\n",
+    "a: 'unterminated\n",
+    "a: 1\n---\nb: 2\n",
+    "a: *missing\n",
+    "a: !!python/object:os.system x\n",
+]
+
+WORKLOADS_PY = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+def _bench_workloads():
+    """bench/workloads.py, loaded without putting bench/ on the path (its
+    dataclass needs the module registered while it executes)."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PY)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return workloads
+
+
+BENCH_TINY = {
+    name: _bench_workloads().generate(name, 1, "tiny")
+    for name in ("metro-grid", "roaming-island")
+}
+
+#: Shapes the flat walk leaves to PyYAML's own constructor (and !!binary,
+#: which it builds through the loader's constructor).
+FALLBACK_SHAPES = {
+    "alias-scalar": "a: &s text\nb: *s\n",
+    "alias-int": "a: &n 123456789\nb: *n\n",
+    "alias-map": "a: &m {x: 1, y: [2]}\nb: *m\n",
+    "alias-seq": "a: &q [1, {z: 2}]\nb: *q\n",
+    "merge": "base: &b {x: 1, y: 2}\nderived: {<<: *b, y: 3}\n",
+    "merge-inline": "d: {<<: {x: 1}, y: 2}\n",
+    "recursive-seq": "a: &r [1, *r]\n",
+    "recursive-map": "a: &r {self: *r}\n",
+    "set": "a: !!set {x, y}\n",
+    "omap": "a: !!omap [{x: 1}, {y: 2}]\n",
+    "pairs": "a: !!pairs [{x: 1}, {x: 2}]\n",
+    "binary": "a: !!binary aGVsbG8=\n",
+    "sequence-key": "? [1, 2]\n: v\n",
+    "mapping-key": "? {k: 1}\n: v\n",
+    "value-key": "{=: 1, b: 2}\n",
+    "value-scalar": "a: =\n",
+    "unknown-tag": "a: !thing x\n",
+    "unknown-map-tag": "a: !thing {x: 1}\n",
+    "str-tag-on-seq": "a: !!str [1]\n",
+    "seq-tag-on-scalar": "a: !!seq x\n",
+    "two-bad-scalars": "a: [!!int x]\nb: !!float y\n",
+}
+
+
+#: Plain scalars the YAML 1.1 resolver reads as something other than text.
+YAML_LOOKING = st.sampled_from(
+    [
+        "yes", "No", "ON", "off", "y", "~", "null", "Null", "true", "False",
+        "1e6", "1.0e+6", "0x1F", "017", "0o17", "0b101", "1:20", "190:20:30.15",
+        "1_000", "-0", "+12", ".inf", "-.Inf", ".NaN", "3.", ".5", "1,000",
+        "2001-12-14", "2001-12-14t21:59:43.10-05:00", "2001-12-14 21:59:43.10",
+        "2020-13-45", "=", "<<", "!!binary aGk=", "!!set {a}", "&x 1",
+    ]
+)
+
+
+def _outcome(load, text):
+    """The repr of the document ``load`` builds from ``text`` (which also
+    compares key order, types and NaNs), or its error's type and
+    problem."""
+    try:
+        return "doc", repr(load(text))
+    except Exception as exc:  # compared, not raised
+        return type(exc), getattr(exc, "problem", str(exc))
+
+
+def _stock(text):
+    return yaml.load(text, Loader=yaml.SafeLoader)
+
+
+def _schema_lines(text):
+    with pytest.raises(SchemaError) as exc:
+        parse_config(text)
+    return problems_of(exc)
+
+
 class TestLoader:
     def test_uses_libyaml_when_available(self):
         expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
@@ -315,13 +415,14 @@ class TestLoader:
 
     @pytest.mark.parametrize(
         "text",
-        [MINIMAL, FULL, YAML_QUIRKS, *GOLDEN_SCENARIOS.values()],
-        ids=["minimal", "full", "quirks", *GOLDEN_SCENARIOS],
+        [MINIMAL, FULL, YAML_QUIRKS, *GOLDEN_SCENARIOS.values(), *BENCH_TINY.values()],
+        ids=["minimal", "full", "quirks", *GOLDEN_SCENARIOS, *BENCH_TINY],
     )
     def test_same_documents_as_safe_loader(self, text):
         doc = yaml.load(text, Loader=_LOADER)
         assert doc == yaml.load(text, Loader=yaml.SafeLoader)
         assert type(doc) is dict
+        assert _outcome(_load, text) == _outcome(_stock, text) == ("doc", repr(doc))
 
     def test_quirks_keep_their_yaml_1_1_types(self):
         doc = yaml.load(YAML_QUIRKS, Loader=_LOADER)
@@ -332,20 +433,7 @@ class TestLoader:
         assert (doc["octal"], doc["hex"], doc["binary"]) == (15, 31, 5)
         assert (doc["sexagesimal"], doc["underscore"]) == (80, 1000)
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "run: [1, 2\n",
-            "run: {horizon_s: 1\n",
-            "run: {horizon_s: 1}}\n",
-            "a: b: c\n",
-            "run:\n  horizon_s: 1\n bad: 2\n",
-            "a: 'unterminated\n",
-            "a: 1\n---\nb: 2\n",
-            "a: *missing\n",
-            "a: !!python/object:os.system x\n",
-        ],
-    )
+    @pytest.mark.parametrize("text", INVALID_YAML)
     def test_invalid_yaml_position_matches_safe_loader(self, text):
         with pytest.raises(yaml.MarkedYAMLError) as reference:
             yaml.load(text, Loader=yaml.SafeLoader)
@@ -376,6 +464,112 @@ class TestLoader:
             parse_config(text)
         (problem,) = problems_of(exc)
         assert problem.startswith("document: invalid YAML (")
+
+
+class TestFlatBuild:
+    @pytest.mark.parametrize(
+        "text",
+        [*FALLBACK_SHAPES.values(), "", "# only\n"],
+        ids=[*FALLBACK_SHAPES, "empty", "comment"],
+    )
+    def test_fallback_shapes_match_safe_loader(self, text):
+        assert _outcome(_load, text) == _outcome(_stock, text)
+
+    @pytest.mark.parametrize("name", ["alias-scalar", "alias-map", "alias-seq"])
+    def test_aliases_keep_identity(self, name):
+        doc = _load(FALLBACK_SHAPES[name])
+        assert doc == _stock(FALLBACK_SHAPES[name])
+        assert doc["b"] is doc["a"]
+
+    def test_recursive_aliases(self):
+        seq = _load(FALLBACK_SHAPES["recursive-seq"])["a"]
+        assert seq[0] == 1 and seq[1] is seq
+        mapping = _load(FALLBACK_SHAPES["recursive-map"])["a"]
+        assert mapping["self"] is mapping
+
+    @pytest.mark.skipif(
+        not yaml.__with_libyaml__, reason="the pure-Python composer recurses per level"
+    )
+    def test_nesting_deeper_than_the_recursion_limit(self):
+        # Too deep for a recursive walk: the libyaml composer's nodes go to
+        # PyYAML's constructor.
+        text = "a: " + "[" * 3000 + "]" * 3000 + "\n"
+        ours, theirs = _load(text)["a"], yaml.load(text, Loader=_LOADER)["a"]
+        for _ in range(2999):
+            assert len(ours) == len(theirs) == 1
+            ours, theirs = ours[0], theirs[0]
+        assert ours == theirs == []
+
+    @pytest.mark.parametrize(
+        "text",
+        [*FALLBACK_SHAPES.values(), *INVALID_YAML, "a: 2020-13-45\n"],
+        ids=[*FALLBACK_SHAPES, *(f"invalid-{i}" for i in range(len(INVALID_YAML))), "bad-date"],
+    )
+    def test_schema_lines_match_pyyaml_load(self, text, monkeypatch):
+        lines = _schema_lines(text)
+        monkeypatch.setattr(
+            "foggrid.scenario._load", lambda t: yaml.load(t, Loader=_LOADER)
+        )
+        assert lines == _schema_lines(text)
+
+    @given(
+        st.recursive(
+            st.none()
+            | st.booleans()
+            | st.integers()
+            | st.floats(allow_nan=False)
+            | st.text()
+            | YAML_LOOKING,
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(st.text(max_size=6) | YAML_LOOKING, inner, max_size=4),
+            max_leaves=12,
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_dumped_documents_load_as_safe_loader_does(self, data, flow):
+        text = yaml.safe_dump(data, default_flow_style=flow, allow_unicode=True)
+        assert _outcome(_load, text) == _outcome(_stock, text)
+
+    @given(st.lists(YAML_LOOKING, min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_plain_scalars_resolve_as_safe_loader_does(self, tokens):
+        text = "".join(f"k{i}: {token}\n" for i, token in enumerate(tokens))
+        assert _outcome(_load, text) == _outcome(_stock, text)
+
+
+class TestGarbageCollector:
+    def test_enabled_after_a_load(self):
+        assert gc.isenabled()
+        parse_config(MINIMAL)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("text", INVALID_YAML)
+    def test_enabled_after_invalid_yaml(self, text):
+        with pytest.raises(SchemaError):
+            parse_config(text)
+        assert gc.isenabled()
+
+    def test_paused_during_the_load(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            "foggrid.scenario._build_node",
+            lambda *args: seen.append(gc.isenabled()) or {"run": None},
+        )
+        with pytest.raises(SchemaError):
+            parse_config(MINIMAL)
+        assert seen == [False] and gc.isenabled()
+
+    def test_left_disabled_when_the_caller_disabled_it(self):
+        gc.disable()
+        try:
+            parse_config(MINIMAL)
+            assert not gc.isenabled()
+            with pytest.raises(SchemaError):
+                parse_config(INVALID_YAML[0])
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestDanglingReferences:
@@ -517,6 +711,31 @@ class TestWithMode:
         sc = parse_config(text)
         with pytest.raises(InvalidTopology):
             with_mode(sc, Mode.FOG_AUGMENTED)
+
+
+class TestValidationOnce:
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_with_mode_keeps_the_id_index(self, mode):
+        sc = parse_config(FULL)
+        flipped = with_mode(sc, mode).run_config.topology
+        assert flipped.by_id() is sc.run_config.topology.by_id()
+        assert flipped.mode is mode
+
+    def test_one_spec_check_per_node_per_compare(self, tmp_path, monkeypatch):
+        checked = []
+        check_spec = topology_module._check_spec
+        monkeypatch.setattr(
+            topology_module,
+            "_check_spec",
+            lambda node, report: checked.append(node.id) or check_spec(node, report),
+        )
+        scenario_file = tmp_path / "scenario.yaml"
+        scenario_file.write_text(GOLDEN_SCENARIOS["fog-roaming"], encoding="utf-8")
+        code = main(
+            ["compare", str(scenario_file), "--horizon", "100", "--out", str(tmp_path / "out")]
+        )
+        assert code == EXIT_OK
+        assert sorted(checked) == list(range(9))
 
 
 class TestLoadConfig:

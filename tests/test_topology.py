@@ -240,3 +240,76 @@ class TestIndexes:
         flipped = dataclasses.replace(t, nodes=t.nodes[:-1])
         assert len(flipped.by_id()) == len(t.nodes) - 1
         assert flipped == make_topology(t.nodes[:-1], (), t.mode)
+
+
+def _broken_topology(mode):
+    """Spec, fog-cardinality, orphan-area and link violations at once."""
+    bad_spec = fog_node(3, area=1)
+    bad_spec = dataclasses.replace(
+        bad_spec,
+        spec=dataclasses.replace(bad_spec.spec, cpu_mhz=0, power_idle_mw=500.0),
+    )
+    nodes = [
+        cloud_node(),
+        fog_node(2, area=0),
+        fog_node(1, area=0),
+        bad_spec,
+        device_node(7, area=6),
+        device_node(4, area=5),
+        device_node(6, area=0),
+        device_node(5, area=6),
+    ]
+    return make_topology(nodes, ((1, 4), (3, 99), (2, 2), (3, 1)), mode)
+
+
+# Pinned from the validator that rebuilt the whole report on every call.
+_NODE_LINES = [
+    "spec sign: node 3: cpu_mhz must be positive",
+    "spec power order: node 3: power_idle_mw 500.0 exceeds power_active_mw 199.0",
+    "fog cardinality: area 0 has 2 fog nodes ([2, 1]); expected one",
+]
+_ORPHAN_LINES = [
+    "orphan area: device 7 is in area 6, which has no fog node",
+    "orphan area: device 4 is in area 5, which has no fog node",
+    "orphan area: device 5 is in area 6, which has no fog node",
+]
+_LINK_LINES = [
+    "link tier: fog link (1, 4) endpoint 4 is device-tier, not fog",
+    "self link: fog link [2] joins a node to itself",
+    "dangling link: fog link (3, 99) references unknown node 99",
+]
+PINNED_LINES = {
+    Mode.CLOUD_ONLY: _NODE_LINES + _LINK_LINES,
+    Mode.FOG_AUGMENTED: _NODE_LINES + _ORPHAN_LINES + _LINK_LINES,
+}
+
+
+class TestReportOnce:
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_pinned_lines_in_order(self, mode):
+        t = _broken_topology(mode)
+        assert [str(v) for v in validate_topology(t)] == PINNED_LINES[mode]
+        # A second call reads the cached report and gives the same lines.
+        assert [str(v) for v in validate_topology(t)] == PINNED_LINES[mode]
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_with_mode_applies_the_orphan_rule_for_its_mode(self, mode):
+        for source_mode in Mode:
+            source = _broken_topology(source_mode)
+            validate_topology(source)
+            flipped = source.with_mode(mode)
+            assert flipped == _broken_topology(mode)
+            assert [str(v) for v in validate_topology(flipped)] == PINNED_LINES[mode]
+
+    def test_with_mode_shares_the_indexes(self):
+        t = grid_topology(areas=3)
+        flipped = t.with_mode(Mode.CLOUD_ONLY)
+        assert flipped.mode is Mode.CLOUD_ONLY and t.mode is Mode.FOG_AUGMENTED
+        assert flipped.by_id() is t.by_id()
+        assert flipped.fog_for_area(1) is t.fog_for_area(1)
+        assert validate_topology(flipped) == validate_topology(t) == []
+
+    def test_report_is_a_fresh_list(self):
+        t = _broken_topology(Mode.FOG_AUGMENTED)
+        validate_topology(t).clear()
+        assert len(validate_topology(t)) == len(PINNED_LINES[Mode.FOG_AUGMENTED])
