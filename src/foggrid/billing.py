@@ -9,8 +9,12 @@ outlet owner's.
 Sessions are immutable values: every transition returns a new session, and
 only the transitions declared in TRANSITIONS exist. ChargingSession._advance
 is the one place that checks them; out-of-order calls raise InvalidState.
-This module also builds both protocol messages, the request and the
-approval.
+
+This module also builds both protocol messages, the request
+(:func:`request_message`) and the approval (:func:`approval_message`).
+resolve_owner returns only the request's route, so a caller that does not
+record messages never builds either; the approval travels the request
+route reversed.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .messages import (
     Payload,
     Route,
     RoutePattern,
+    check_keyholders,
     resolve_route,
     seal,
 )
@@ -92,16 +97,31 @@ TRANSITIONS: frozenset[tuple[SessionState, SessionState]] = frozenset(
 )
 
 
-# The same edges by member name, for the check below: a pair of ``_name_``
-# strings hashes in C, where an Enum member hashes through a Python-level
-# ``__hash__`` (and ``.name`` is a property).
-_TRANSITION_NAMES = frozenset((a._name_, b._name_) for a, b in TRANSITIONS)
+# Every legal edge, REJECTED ones included, by member name: a pair of
+# ``_name_`` strings hashes in C, where an Enum member hashes through a
+# Python-level ``__hash__`` (and ``.name`` is a property).
+_LEGAL_EDGES = frozenset((a._name_, b._name_) for a, b in TRANSITIONS) | frozenset(
+    (a._name_, SessionState.REJECTED._name_)
+    for a in SessionState
+    if a not in (SessionState.BILLED, SessionState.REJECTED)
+)
 
 
 def is_legal_transition(a: SessionState, b: SessionState) -> bool:
-    if b is SessionState.REJECTED:
-        return a is not SessionState.BILLED and a is not SessionState.REJECTED
-    return (a._name_, b._name_) in _TRANSITION_NAMES
+    return (a._name_, b._name_) in _LEGAL_EDGES
+
+
+def _record(cls, fields: dict, changes: Optional[dict] = None):
+    """An instance of the frozen dataclass ``cls`` whose fields are
+    ``fields`` updated by ``changes``; ``fields`` must name every field.
+    Skips the frozen ``__init__``, which sets each field through
+    ``object.__setattr__``; the result is as frozen as any other."""
+    obj = object.__new__(cls)
+    attrs = obj.__dict__
+    attrs.update(fields)
+    if changes:
+        attrs.update(changes)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -120,17 +140,14 @@ class ChargingSession:
     reject_reason: Optional[str] = None
 
     def _advance(self, new_state: SessionState, **changes) -> "ChargingSession":
-        if not is_legal_transition(self.state, new_state):
+        # is_legal_transition, inlined: this runs on every session step.
+        if (self.state._name_, new_state._name_) not in _LEGAL_EDGES:
             raise InvalidState(
                 f"session {self.session_id}: cannot go from "
                 f"{self.state.value} to {new_state.value}"
             )
-        # Copies the fields directly: dataclasses.replace re-reads the field
-        # list and re-runs the frozen __init__ on every step. The copy is as
-        # frozen as the original.
-        nxt = object.__new__(ChargingSession)
-        nxt.__dict__.update(self.__dict__, state=new_state, **changes)
-        return nxt
+        changes["state"] = new_state
+        return _record(ChargingSession, self.__dict__, changes)
 
 
 @dataclass(frozen=True)
@@ -164,30 +181,36 @@ def initiate_session(
             f"outlet {outlet_meter} is not a device-tier node of the topology"
         )
     identity = registry.get(vehicle_id)
-    return ChargingSession(
-        session_id=session_id,
-        vehicle_id=vehicle_id,
-        outlet_meter=outlet_meter,
-        state=SessionState.REQUESTED,
-        owner_meter=identity.meter if identity is not None else None,
+    return _record(
+        ChargingSession,
+        {
+            "session_id": session_id,
+            "vehicle_id": vehicle_id,
+            "outlet_meter": outlet_meter,
+            "state": SessionState.REQUESTED,
+            "owner_meter": identity.meter if identity is not None else None,
+            "route_pattern": None,
+            "energy_kwh": 0.0,
+            "started_at": None,
+            "ended_at": None,
+            "reject_reason": None,
+        },
     )
 
 
 def resolve_owner(
-    s: ChargingSession,
-    registry: VehicleRegistry,
-    t: Topology,
-    message_id: int = 0,
-    at_s: float = 0.0,
-) -> tuple[ChargingSession, Optional[Message], Optional[Route]]:
+    s: ChargingSession, registry: VehicleRegistry, t: Topology
+) -> tuple[ChargingSession, Optional[Route]]:
     """Resolve the vehicle's home meter through the network.
 
-    Builds the private ChargeRequest message from the outlet to the owner
-    meter and resolves its route. On success the session moves to
-    OWNER_RESOLVED and records the route pattern used; the caller decides
-    when the message is actually delivered. An unregistered vehicle or an
-    unroutable owner rejects the session. A vehicle charging at its own
-    meter resolves without any message (degenerate same-meter case).
+    Resolves the route of the private ChargeRequest from the outlet to the
+    owner meter; :func:`request_message` builds the message itself. On
+    success the session moves to OWNER_RESOLVED and records the route
+    pattern used; the caller decides when the request is actually
+    delivered. An unregistered vehicle or an unroutable owner rejects the
+    session. A vehicle charging at its own meter resolves without any
+    message (degenerate same-meter case) and with no route. A fog-tier
+    owner raises FogKeyholderForbidden, as sealing the request would.
     """
     if s.state is not SessionState.REQUESTED:
         raise InvalidState(
@@ -202,7 +225,6 @@ def resolve_owner(
                 reject_reason=f"vehicle {s.vehicle_id!r} not in registry",
             ),
             None,
-            None,
         )
     owner = identity.meter
     if owner == s.outlet_meter:
@@ -211,7 +233,7 @@ def resolve_owner(
             owner_meter=owner,
             route_pattern=RoutePattern.COM_A,
         )
-        return resolved, None, None
+        return resolved, None
 
     try:
         route = resolve_route(s.outlet_meter, owner, t)
@@ -219,24 +241,31 @@ def resolve_owner(
         return (
             s._advance(SessionState.REJECTED, reject_reason=str(exc)),
             None,
-            None,
         )
-    body = {"vehicle_id": s.vehicle_id, "session_id": s.session_id}
-    request = Payload(kind=CHARGE_REQUEST, bytes_size=REQUEST_BYTES, body=body)
-    message = _sealed_message(request, s.outlet_meter, owner, t, message_id, at_s)
+    check_keyholders((s.outlet_meter, owner), t)
     resolved = s._advance(
         SessionState.OWNER_RESOLVED,
         owner_meter=owner,
         route_pattern=route.pattern,
     )
-    return resolved, message, route
+    return resolved, route
+
+
+def request_message(
+    s: ChargingSession, t: Topology, message_id: int, at_s: float
+) -> Message:
+    """The outlet meter's private charge request to the owner meter, for a
+    session resolve_owner has resolved over the network."""
+    body = {"vehicle_id": s.vehicle_id, "session_id": s.session_id}
+    request = Payload(kind=CHARGE_REQUEST, bytes_size=REQUEST_BYTES, body=body)
+    return _sealed_message(request, s.outlet_meter, s.owner_meter, t, message_id, at_s)
 
 
 def approval_message(
     s: ChargingSession, t: Topology, message_id: int, at_s: float
 ) -> Message:
     """The owner meter's identity confirmation, sent back to the outlet
-    once the charge request arrives."""
+    once the charge request arrives, along the request route reversed."""
     body = {"vehicle_id": s.vehicle_id}
     token = Payload(kind=IDENTITY_TOKEN, bytes_size=APPROVAL_BYTES, body=body)
     return _sealed_message(token, s.owner_meter, s.outlet_meter, t, message_id, at_s)
@@ -298,12 +327,15 @@ def settle_bill(
             f"session {s.session_id}: vehicle {s.vehicle_id!r} missing from "
             "registry at settlement"
         )
-    bill = BillRecord(
-        session_id=s.session_id,
-        debited_account=identity.owner_account,
-        energy_kwh=s.energy_kwh,
-        amount=s.energy_kwh * tariff_per_kwh,
-        tariff_per_kwh=tariff_per_kwh,
+    bill = _record(
+        BillRecord,
+        {
+            "session_id": s.session_id,
+            "debited_account": identity.owner_account,
+            "energy_kwh": s.energy_kwh,
+            "amount": s.energy_kwh * tariff_per_kwh,
+            "tariff_per_kwh": tariff_per_kwh,
+        },
     )
     return billed, bill
 

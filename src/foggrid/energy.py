@@ -52,11 +52,11 @@ def accrue_energy(
             f"idle={idle_s!r}"
         )
     added = active_s * spec.power_active_mw + idle_s * spec.power_idle_mw
-    return replace(
-        ledger,
-        active_time_s=ledger.active_time_s + active_s,
-        idle_time_s=ledger.idle_time_s + idle_s,
-        energy_mj=ledger.energy_mj + added,
+    return EnergyLedger(
+        ledger.node,
+        ledger.active_time_s + active_s,
+        ledger.idle_time_s + idle_s,
+        ledger.energy_mj + added,
     )
 
 

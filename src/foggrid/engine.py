@@ -30,6 +30,10 @@ hash of the concatenated lines, in hex. (BLAKE2b-64 plays the role of the
 64-bit trace hash; it is pinned here so determinism is testable.) The
 digest needs no recording: ``Message`` and ``SimEvent`` objects are built
 only when ``record_events`` is set, and the digest is the same either way.
+That includes both session-protocol messages: billing.resolve_owner gives
+the request's route, billing.request_message and billing.approval_message
+are called only when recording, and the approval travels the request
+route reversed, so a session resolves one route.
 """
 
 from __future__ import annotations
@@ -208,9 +212,9 @@ class SimResult:
 
 class _Transit:
     """A message in flight: its route and current position. A session
-    message carries ``step``, the (session index, _Step) its delivery
-    triggers; ``msg`` is set only for session messages, and for an
-    approval only when events are recorded."""
+    message carries ``step``, the (session index, _Step, hops) its
+    delivery triggers; ``msg`` is set only for session messages, and only
+    when events are recorded."""
 
     __slots__ = ("msg_id", "hops", "hop_idx", "node_arrival", "process_idx", "step", "msg")
 
@@ -418,7 +422,7 @@ class _Engine:
             _require_nonnegative(f"session {idx}: start_s", plan.start_s)
             _require_nonnegative(f"session {idx}: duration_s", plan.duration_s)
             if plan.start_s <= self.horizon:
-                step = (idx, _Step.INITIATE)
+                step = (idx, _Step.INITIATE, None)
                 starts.append(
                     (plan.start_s, next(self.seq), _SESSION_STEP, plan.outlet_meter, step)
                 )
@@ -521,43 +525,38 @@ class _Engine:
         self.now_queue.append((now, next(self.seq), _ARRIVAL, hops[0], transit))
 
     def _handle_session_step(self, now: float, node: NodeId, data) -> None:
-        idx, step = data
-        plan = self.cfg.sessions[idx]
+        # ``hops`` is the route of the message whose delivery triggered
+        # this step, or None.
+        idx, step, hops = data
         if step is _Step.INITIATE:
             self._push_next_start()
+            plan = self.cfg.sessions[idx]
+            registry = self.cfg.vehicle_registry
             session = billing.initiate_session(
-                idx,
-                plan.vehicle_id,
-                plan.outlet_meter,
-                self.cfg.vehicle_registry,
-                self.topo,
+                idx, plan.vehicle_id, plan.outlet_meter, registry, self.topo
             )
-            session, msg, route = billing.resolve_owner(
-                session,
-                self.cfg.vehicle_registry,
-                self.topo,
-                message_id=self.msg_id,
-                at_s=now,
-            )
+            session, route = billing.resolve_owner(session, registry, self.topo)
             self.sessions[idx] = session
             if session.state is SessionState.REJECTED:
                 return
-            if msg is None:
+            if route is None:
                 # Self-charge: no network round-trip needed.
                 self._begin_charging(now, idx)
-            else:
-                next_step = (idx, _Step.REQUEST_DELIVERED)
-                self._send_session_message(now, route.hops, billing.REQUEST_BYTES, next_step, msg)
-        elif step is _Step.REQUEST_DELIVERED:
-            # Owner's meter answers with the identity confirmation; the
-            # round-trip completes back at the outlet. The approval Message
-            # is built only to be recorded.
-            session = self.sessions[idx]
-            hops = resolve_route(session.owner_meter, session.outlet_meter, self.topo).hops
+                return
+            # Both protocol Messages are built only to be recorded.
             msg = None
             if self.messages is not None:
-                msg = billing.approval_message(session, self.topo, self.msg_id, now)
-            next_step = (idx, _Step.APPROVAL_DELIVERED)
+                msg = billing.request_message(session, self.topo, self.msg_id, now)
+            next_step = (idx, _Step.REQUEST_DELIVERED, route.hops)
+            self._send_session_message(now, route.hops, billing.REQUEST_BYTES, next_step, msg)
+        elif step is _Step.REQUEST_DELIVERED:
+            # Owner's meter answers with the identity confirmation, back
+            # along the request route reversed (resolve_route is symmetric).
+            msg = None
+            if self.messages is not None:
+                msg = billing.approval_message(self.sessions[idx], self.topo, self.msg_id, now)
+            hops = hops[::-1]
+            next_step = (idx, _Step.APPROVAL_DELIVERED, None)
             self._send_session_message(now, hops, billing.APPROVAL_BYTES, next_step, msg)
         elif step is _Step.APPROVAL_DELIVERED:
             self._begin_charging(now, idx)
@@ -571,7 +570,7 @@ class _Engine:
         self.sessions[idx] = session
         plan = self.cfg.sessions[idx]
         done = now + plan.duration_s
-        step = (idx, _Step.CHARGE_COMPLETE)
+        step = (idx, _Step.CHARGE_COMPLETE, None)
         heappush(self.heap, (done, next(self.seq), _SESSION_STEP, plan.outlet_meter, step))
 
     def _apply_bess_schedule(self, now: float) -> None:

@@ -146,6 +146,16 @@ def seal(p: Payload, keyholders, t: Topology) -> SealedEnvelope:
     holders = frozenset(keyholders)
     if not holders:
         raise EmptyKeyholders("keyholders must be nonempty")
+    check_keyholders(holders, t)
+    digest = hashlib.blake2b(
+        f"{p.kind}|{p.bytes_size}|{sorted(holders)}".encode(), digest_size=6
+    ).hexdigest()
+    return SealedEnvelope(inner=p, keyholders=holders, seal_tag=digest)
+
+
+def check_keyholders(holders, t: Topology) -> None:
+    """Raise FogKeyholderForbidden if any of ``holders`` is a fog-tier
+    node. Nodes missing from the topology are not checked here."""
     by_id = t.by_id()
     for h in sorted(holders):
         node = by_id.get(h)
@@ -153,10 +163,6 @@ def seal(p: Payload, keyholders, t: Topology) -> SealedEnvelope:
             raise FogKeyholderForbidden(
                 f"fog node {h} may not hold keys for private data"
             )
-    digest = hashlib.blake2b(
-        f"{p.kind}|{p.bytes_size}|{sorted(holders)}".encode(), digest_size=6
-    ).hexdigest()
-    return SealedEnvelope(inner=p, keyholders=holders, seal_tag=digest)
 
 
 def open_envelope(e: SealedEnvelope, opener: NodeId) -> Payload:
@@ -179,7 +185,7 @@ def classify_route_pattern(hops, t: Topology) -> RoutePattern:
     tiers = [by_id[h].tier for h in hops]
     if Tier.CLOUD in tiers:
         return RoutePattern.COM_D
-    fog_count = sum(1 for tier in tiers if tier is Tier.FOG)
+    fog_count = tiers.count(Tier.FOG)
     if fog_count >= 2:
         return RoutePattern.COM_C
     if fog_count == 1:

@@ -35,7 +35,9 @@ own constructor for its tag, a ``map`` node becomes a dict and a ``seq``
 node a list. Aliases, merge (``<<``) and value (``=``) keys, non-scalar
 keys, collection tags such as ``!!set`` or ``!!omap``, unknown tags and
 every error fall back to the loader's ``construct_document`` on the same
-node, which is PyYAML's constructor itself. The cyclic garbage collector
+node, which is PyYAML's constructor itself; a scalar whose text its
+explicit tag's constructor cannot read (``!!bool maybe``) is invalid YAML,
+as an impossible date is. The cyclic garbage collector
 is paused while a document is composed and built, and only then; its
 earlier state is restored afterwards.
 
@@ -320,8 +322,9 @@ def parse_config(text: str) -> ScenarioConfig:
             [f"document: invalid YAML (unencodable character at {exc.start})"]
         ) from None
     except ValueError as exc:
-        # A scalar its constructor rejects: a date such as 2020-13-45, or an
-        # integer literal longer than Python converts from text.
+        # A scalar its constructor rejects: a date such as 2020-13-45, an
+        # integer literal longer than Python converts from text, or text
+        # that does not match its explicit tag.
         raise SchemaError([f"document: invalid YAML ({exc})"]) from None
     return _build(doc)
 
@@ -350,7 +353,16 @@ def _load(text: str) -> Any:
             except Exception:
                 # The shapes left to PyYAML, and any error, which PyYAML
                 # then raises in its own order (it builds breadth-first).
-                return loader.construct_document(node)
+                try:
+                    return loader.construct_document(node)
+                except (KeyError, AttributeError, IndexError):
+                    # PyYAML's bool, timestamp, int and float constructors
+                    # look up, match or index the text of an explicitly
+                    # tagged scalar without checking it: `!!bool maybe`,
+                    # `!!timestamp soon`, `!!float ""`.
+                    raise ValueError(
+                        "a scalar does not match its explicit tag"
+                    ) from None
         finally:
             if enabled:
                 gc.enable()

@@ -4,9 +4,11 @@ import pytest
 from conftest import grid_topology
 
 from foggrid import (
+    CHARGE_REQUEST,
     IDENTITY_TOKEN,
     ChargingSession,
     DataClass,
+    FogKeyholderForbidden,
     InvalidState,
     MeterIdentity,
     NegativeEnergy,
@@ -25,7 +27,12 @@ from foggrid import (
     settle_bill,
     start_charging,
 )
-from foggrid.billing import APPROVAL_BYTES, approval_message
+from foggrid.billing import (
+    APPROVAL_BYTES,
+    REQUEST_BYTES,
+    approval_message,
+    request_message,
+)
 
 # Two areas, no fog link: cloud 0, fogs 1-2, devices 3,4 (area 0) and
 # 5,6 (area 1). Vehicle "ev-1" lives at meter 5 and roams to outlet 3.
@@ -46,11 +53,10 @@ class TestLifecycle:
         assert s.state is SessionState.REQUESTED
         assert s.owner_meter == 5
 
-        s, message, route = resolve_owner(s, REGISTRY, TOPOLOGY)
+        s, route = resolve_owner(s, REGISTRY, TOPOLOGY)
         assert s.state is SessionState.OWNER_RESOLVED
         assert s.route_pattern is RoutePattern.COM_D
         assert route.hops == (3, 1, 0, 2, 5)
-        assert message.src == 3 and message.dst == 5
 
         s = authorize(s)
         s = start_charging(s, at_s=100.0)
@@ -66,32 +72,43 @@ class TestLifecycle:
         assert bill.amount == 7.5 * 0.2
         assert bill.session_id == s.session_id
 
-    def test_request_rides_in_a_sealed_envelope(self):
-        _, message, _ = resolve_owner(roaming_session(), REGISTRY, TOPOLOGY)
-        env = message.content
-        assert env.keyholders == frozenset({3, 5})
-        assert open_envelope(env, 3).bytes_size == 128
-        for fog in (1, 2):
-            with pytest.raises(NotKeyholder):
-                open_envelope(env, fog)
-
     def test_meter_energy_directly_from_authorized(self):
-        s, _, _ = resolve_owner(roaming_session(), REGISTRY, TOPOLOGY)
+        s, _ = resolve_owner(roaming_session(), REGISTRY, TOPOLOGY)
         s = authorize(s)
         s = meter_energy(s, 2.0, at_s=50.0)
         assert s.state is SessionState.METERED
         assert s.started_at == 50.0
 
     def test_zero_energy_session_bills_zero(self):
-        s, _, _ = resolve_owner(roaming_session(), REGISTRY, TOPOLOGY)
+        s, _ = resolve_owner(roaming_session(), REGISTRY, TOPOLOGY)
         s = meter_energy(authorize(s), 0.0)
         _, bill = settle_bill(s, 0.2, REGISTRY)
         assert bill.amount == 0.0
 
 
+class TestRequestMessage:
+    def test_charge_request_sealed_to_outlet_and_owner(self):
+        s, _ = resolve_owner(roaming_session(), REGISTRY, TOPOLOGY)
+        message = request_message(s, TOPOLOGY, message_id=4, at_s=3.25)
+        assert (message.id, message.src, message.dst) == (4, 3, 5)
+        assert message.data_class is DataClass.PRIVATE
+        assert message.created_at == 3.25
+        env = message.content
+        assert env.keyholders == frozenset({3, 5})
+        for holder in (3, 5):
+            request = open_envelope(env, holder)
+            assert request.kind == CHARGE_REQUEST
+            assert request.bytes_size == REQUEST_BYTES == 128
+            assert request.body == {"vehicle_id": "ev-1", "session_id": 1}
+        # Outlet 3 sits behind fog 1, owner 5 behind fog 2.
+        for fog in (1, 2):
+            with pytest.raises(NotKeyholder):
+                open_envelope(env, fog)
+
+
 class TestApprovalMessage:
     def test_identity_token_sealed_to_owner_and_outlet(self):
-        s, _, _ = resolve_owner(roaming_session(), REGISTRY, TOPOLOGY)
+        s, _ = resolve_owner(roaming_session(), REGISTRY, TOPOLOGY)
         message = approval_message(s, TOPOLOGY, message_id=7, at_s=12.5)
         assert (message.id, message.src, message.dst) == (7, 5, 3)
         assert message.data_class is DataClass.PRIVATE
@@ -111,29 +128,38 @@ class TestApprovalMessage:
 class TestResolveOwner:
     def test_unregistered_vehicle_is_rejected(self):
         s = initiate_session(1, "ghost", 3, REGISTRY, TOPOLOGY)
-        s, message, route = resolve_owner(s, REGISTRY, TOPOLOGY)
+        s, route = resolve_owner(s, REGISTRY, TOPOLOGY)
         assert s.state is SessionState.REJECTED
-        assert message is None and route is None
+        assert route is None
         assert "ghost" in s.reject_reason
 
     def test_vehicle_at_its_own_meter_needs_no_message(self):
         s = initiate_session(1, "ev-2", 3, REGISTRY, TOPOLOGY)
-        s, message, route = resolve_owner(s, REGISTRY, TOPOLOGY)
+        s, route = resolve_owner(s, REGISTRY, TOPOLOGY)
         assert s.state is SessionState.OWNER_RESOLVED
-        assert message is None and route is None
+        assert route is None
         assert s.route_pattern is RoutePattern.COM_A
         assert s.owner_meter == 3
 
     def test_same_area_roaming_stays_local(self):
         registry = {"ev-3": MeterIdentity(meter=4, owner_account="acct-c")}
         s = initiate_session(1, "ev-3", 3, registry, TOPOLOGY)
-        s, message, route = resolve_owner(s, registry, TOPOLOGY)
+        s, route = resolve_owner(s, registry, TOPOLOGY)
         assert s.route_pattern is RoutePattern.COM_A
         assert route.hops == (3, 4)
-        assert message is not None
+        message = request_message(s, TOPOLOGY, message_id=0, at_s=0.0)
+        assert (message.src, message.dst) == (3, 4)
+
+    def test_fog_tier_owner_is_forbidden(self):
+        # The request would be sealed to the owner: a fog gateway may not
+        # hold keys, so resolving fails before any message exists.
+        registry = {"ev-fog": MeterIdentity(meter=2, owner_account="acct-f")}
+        s = initiate_session(1, "ev-fog", 3, registry, TOPOLOGY)
+        with pytest.raises(FogKeyholderForbidden):
+            resolve_owner(s, registry, TOPOLOGY)
 
     def test_requires_requested_state(self):
-        s, _, _ = resolve_owner(roaming_session(), REGISTRY, TOPOLOGY)
+        s, _ = resolve_owner(roaming_session(), REGISTRY, TOPOLOGY)
         with pytest.raises(InvalidState):
             resolve_owner(s, REGISTRY, TOPOLOGY)
 
@@ -219,7 +245,7 @@ class TestStateTable:
 class TestRejection:
     def test_rejectable_from_every_pre_billed_state(self):
         s0 = roaming_session()
-        s1, _, _ = resolve_owner(s0, REGISTRY, TOPOLOGY)
+        s1, _ = resolve_owner(s0, REGISTRY, TOPOLOGY)
         s2 = authorize(s1)
         s3 = start_charging(s2, 0.0)
         s4 = meter_energy(s3, 1.0)

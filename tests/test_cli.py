@@ -59,6 +59,17 @@ class TestValidate:
         assert main(["validate", str(bad)]) == EXIT_CONFIG
         assert "invalid YAML" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "value",
+        ["!!bool maybe", "!!timestamp soon", '!!timestamp ""', '!!float ""'],
+    )
+    def test_scalar_that_does_not_match_its_tag(self, tmp_path, capsys, value):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(f"run: {{horizon_s: {value}}}\n", encoding="utf-8")
+        assert main(["validate", str(bad)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("SchemaError: document: invalid YAML ("), err
+
     def test_schema_problems_one_per_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("run: {seed: -1}\nextra: 1\n", encoding="utf-8")

@@ -21,7 +21,7 @@ import textwrap
 
 import pytest
 
-from foggrid import Mode, RoutePattern, engine, parse_config, run
+from foggrid import Mode, RoutePattern, billing, engine, parse_config, run
 from foggrid.cli import EXIT_OK, main
 from foggrid.messages import SealedEnvelope
 
@@ -417,12 +417,14 @@ def test_scenarios_cover_every_session_route():
 
 
 def test_unrecorded_run_builds_no_messages_or_events(monkeypatch):
-    # The digest alone needs neither: both are built for record_events only.
+    # The digest alone needs neither: both are built for record_events only,
+    # the session protocol's request and approval included.
     def built(*args, **kwargs):
         raise AssertionError("built without record_events")
 
     monkeypatch.setattr(engine, "Message", built)
     monkeypatch.setattr(engine, "SimEvent", built)
+    monkeypatch.setattr(billing, "_sealed_message", built)
     result = run(parse_config(SCENARIOS["fog-roaming"]).run_config)
     assert result.trace.digest == GOLDEN_DIGEST["fog-roaming"]
     assert (result.messages, result.trace.events) == (None, None)

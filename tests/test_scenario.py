@@ -2,6 +2,7 @@
 
 import gc
 import importlib.util
+import json
 import sys
 import textwrap
 from pathlib import Path
@@ -17,6 +18,7 @@ from foggrid import topology as topology_module
 from foggrid import (
     DEFAULT_WARMUP_FRACTION,
     BessState,
+    ConfigError,
     DanglingReference,
     DataClass,
     DeviceRole,
@@ -536,6 +538,24 @@ class TestFlatBuild:
     def test_plain_scalars_resolve_as_safe_loader_does(self, tokens):
         text = "".join(f"k{i}: {token}\n" for i, token in enumerate(tokens))
         assert _outcome(_load, text) == _outcome(_stock, text)
+
+    @given(
+        st.sampled_from(
+            ["!!bool", "!!int", "!!float", "!!null", "!!timestamp", "!!binary", "!!str"]
+        ),
+        st.text(max_size=24) | YAML_LOOKING,
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_explicit_scalar_tags_on_any_text(self, tag, text, quoted):
+        # Quoted, any text reaches the tag's constructor; plain, it may
+        # also fail to parse. Either way the outcome is a config or a
+        # ConfigError, never another exception.
+        scalar = json.dumps(text) if quoted else text
+        try:
+            parse_config(f"run: {{horizon_s: {tag} {scalar}}}\n")
+        except ConfigError:
+            pass
 
 
 class TestGarbageCollector:
