@@ -91,12 +91,9 @@ def _load(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def _error_lines(exc: Exception) -> list[str]:
-    category = type(exc).__name__
-    if isinstance(exc, InvalidTopology):
-        return [f"{category}: {v}" for v in exc.violations]
-    if isinstance(exc, ConfigError) and exc.problems:
-        return [f"{category}: {p}" for p in exc.problems]
-    return [f"{category}: {exc}"]
+    # InvalidTopology lists violations; ConfigError and InvalidRunConfig, problems.
+    lines = getattr(exc, "violations", None) or getattr(exc, "problems", None) or [exc]
+    return [f"{type(exc).__name__}: {line}" for line in lines]
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -147,14 +144,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, InvalidTopology) as exc:
-        for line in _error_lines(exc):
-            print(line, file=sys.stderr)
-        return EXIT_CONFIG
     except FogGridError as exc:
         for line in _error_lines(exc):
             print(line, file=sys.stderr)
-        return EXIT_RUNTIME
+        config = isinstance(exc, (ConfigError, InvalidTopology))
+        return EXIT_CONFIG if config else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

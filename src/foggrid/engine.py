@@ -71,7 +71,6 @@ from .messages import (
     DataClass,
     Message,
     Payload,
-    UnknownNode,
     classify,
     resolve_route,
     seal,
@@ -88,10 +87,12 @@ _DIGEST_FLUSH = 4096
 
 
 class InvalidRunConfig(FogGridError, ValueError):
-    """A RunConfig breaks an engine precondition: the horizon, warmup,
-    hop delay, tariff, an arrival rate, a message size, a session's start,
-    duration or energy, or a battery top-up's time or energy is out of
-    range."""
+    """A RunConfig breaks rules of :func:`check_run_config`; ``problems``
+    holds every line it returned."""
+
+    def __init__(self, problems):
+        self.problems = list(problems)
+        super().__init__("; ".join(self.problems))
 
 
 class EventKind(Enum):
@@ -343,13 +344,6 @@ class _Engine:
         self.proc_class: list[DataClass] = []
         per_node_index: dict[NodeId, int] = {}
         for proc in cfg.arrival_processes:
-            if proc.target not in self.by_id:
-                raise UnknownNode(
-                    f"arrival process targets unknown node {proc.target}"
-                )
-            _require_nonnegative("arrival rate", proc.rate_per_s)
-            if proc.size_bytes <= 0:
-                raise InvalidRunConfig("message size must be positive")
             k = per_node_index.get(proc.target, 0)
             per_node_index[proc.target] = k + 1
             if proc.rate_per_s > 0:
@@ -408,19 +402,6 @@ class _Engine:
     def _setup_sessions(self) -> None:
         starts = []
         for idx, plan in enumerate(self.cfg.sessions):
-            node = self.by_id.get(plan.outlet_meter)
-            if node is None or node.tier is not Tier.DEVICE:
-                raise billing.UnknownOutlet(
-                    f"session {idx}: outlet {plan.outlet_meter} is not a "
-                    "device-tier node"
-                )
-            if plan.energy_kwh < 0:
-                raise billing.NegativeEnergy(
-                    f"session {idx}: energy_kwh must be nonnegative"
-                )
-            _require_nonnegative(f"session {idx}: energy_kwh", plan.energy_kwh)
-            _require_nonnegative(f"session {idx}: start_s", plan.start_s)
-            _require_nonnegative(f"session {idx}: duration_s", plan.duration_s)
             if plan.start_s <= self.horizon:
                 step = (idx, _Step.INITIATE, None)
                 starts.append(
@@ -608,32 +589,6 @@ class _Engine:
     # -- main loop ------------------------------------------------------
 
     def run(self) -> SimResult:
-        cfg = self.cfg
-        if not (math.isfinite(cfg.horizon_s) and cfg.horizon_s > 0):
-            raise InvalidRunConfig(
-                f"horizon_s must be finite and positive, got {cfg.horizon_s!r}"
-            )
-        if not (0 <= cfg.warmup_s < cfg.horizon_s):
-            raise InvalidRunConfig(
-                f"warmup_s must satisfy 0 <= warmup < horizon, got {cfg.warmup_s!r}"
-            )
-        _require_nonnegative("hop_delay_s", cfg.hop_delay_s)
-        if not math.isfinite(cfg.tariff_per_kwh):
-            raise InvalidRunConfig(f"tariff_per_kwh must be finite, got {cfg.tariff_per_kwh!r}")
-        for i, entry in enumerate(cfg.bess_charge_schedule):
-            _require_nonnegative(f"bess_charge_schedule[{i}]: at_s", entry.at_s)
-            _require_nonnegative(f"bess_charge_schedule[{i}]: energy_kwh", entry.energy_kwh)
-        violations = validate_topology(self.topo)
-        if violations:
-            raise InvalidTopology(violations)
-        for vehicle, identity in cfg.vehicle_registry.items():
-            meter = self.by_id.get(identity.meter)
-            if meter is None or meter.tier is not Tier.DEVICE:
-                raise InvalidRunConfig(
-                    f"vehicle_registry[{vehicle!r}]: meter {identity.meter} "
-                    "is not a device-tier node"
-                )
-
         self._setup_processes()
         self._setup_sessions()
 
@@ -754,11 +709,6 @@ class _Engine:
         )
 
 
-def _require_nonnegative(what: str, value: float) -> None:
-    if not (math.isfinite(value) and value >= 0):
-        raise InvalidRunConfig(f"{what} must be finite and nonnegative, got {value!r}")
-
-
 def _subject_of(kind: int, data) -> Optional[int]:
     if data is None:
         return None
@@ -767,6 +717,72 @@ def _subject_of(kind: int, data) -> Optional[int]:
     return data.msg_id
 
 
+def check_run_config(cfg: RunConfig) -> list[str]:
+    """Every problem that keeps ``cfg`` from running, beside the topology
+    violations of :func:`validate_topology`, one line each, starting with
+    its RunConfig field path. This is the one statement of these rules:
+    :func:`run` raises the lines as InvalidRunConfig, and
+    ``scenario.parse_config`` as DanglingReference under YAML paths."""
+    problems: list[str] = []
+    by_id = cfg.topology.by_id()
+
+    def fail(path: str, msg: str) -> None:
+        problems.append(f"{path}: {msg}")
+
+    # Both take the path of ``record`` and the names of its fields to check.
+    def nonnegative(prefix: str, record, *fields: str) -> None:
+        for name in fields:
+            value = getattr(record, name)
+            if not (math.isfinite(value) and value >= 0):
+                fail(prefix + name, f"must be finite and nonnegative, got {value!r}")
+
+    def device_meter(prefix: str, record, name: str) -> None:
+        node_id = getattr(record, name)
+        node = by_id.get(node_id)
+        if node is None:
+            fail(prefix + name, f"node {node_id} is not defined")
+        elif node.tier is not Tier.DEVICE:
+            fail(prefix + name, f"node {node_id} is not a device-tier meter")
+
+    seed, horizon, tariff = cfg.seed, cfg.horizon_s, cfg.tariff_per_kwh
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        fail("seed", f"must be an integer in [0, 2**64), got {seed!r}")
+    if not (math.isfinite(horizon) and horizon > 0):
+        fail("horizon_s", f"must be finite and positive, got {horizon!r}")
+    if not 0 <= cfg.warmup_s < horizon:
+        fail("warmup_s", f"must satisfy 0 <= warmup_s < horizon_s, got {cfg.warmup_s!r}")
+    nonnegative("", cfg, "hop_delay_s")
+    if not (math.isfinite(tariff) and tariff > 0):
+        fail("tariff_per_kwh", f"must be finite and positive, got {tariff!r}")
+    for i, proc in enumerate(cfg.arrival_processes):
+        path, target, kind = f"arrival_processes[{i}].", proc.target, proc.payload_kind
+        node = by_id.get(target)
+        if node is None:
+            fail(f"{path}target", f"node {target} is not defined")
+        elif node.tier is Tier.FOG and cfg.classification.get(kind) is DataClass.PRIVATE:
+            # Private data is sealed for its target (messages.seal).
+            fail(f"{path}target", f"fog node {target} may not hold keys for private {kind} data")
+        nonnegative(path, proc, "rate_per_s")
+        if not proc.size_bytes > 0:
+            fail(f"{path}size_bytes", f"must be positive, got {proc.size_bytes!r}")
+    for vehicle, identity in cfg.vehicle_registry.items():
+        device_meter(f"vehicle_registry.{vehicle}.", identity, "meter")
+    for i, plan in enumerate(cfg.sessions):
+        path = f"sessions[{i}]."
+        device_meter(path, plan, "outlet_meter")
+        nonnegative(path, plan, "start_s", "duration_s", "energy_kwh")
+    for i, entry in enumerate(cfg.bess_charge_schedule):
+        nonnegative(f"bess_charge_schedule[{i}].", entry, "at_s", "energy_kwh")
+    return problems
+
+
 def run(cfg: RunConfig) -> SimResult:
-    """Execute one deterministic simulation run."""
+    """Execute one deterministic simulation run. A config with problems
+    raises InvalidTopology or InvalidRunConfig before any stream exists."""
+    violations = validate_topology(cfg.topology)
+    if violations:
+        raise InvalidTopology(violations)
+    problems = check_run_config(cfg)
+    if problems:
+        raise InvalidRunConfig(problems)
     return _Engine(cfg).run()

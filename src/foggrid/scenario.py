@@ -20,7 +20,10 @@ Parsing is total: malformed input of any shape produces a SchemaError
 listing every problem with its config path, never a crash. Identifier
 checks (DanglingReference) and structural topology checks
 (InvalidTopology) run only once the schema is clean, so their messages
-can assume well-typed fields.
+can assume well-typed fields. The identifier checks of the workload are
+``engine.check_run_config`` on the RunConfig built from the document,
+each line put under ``workload.``; only the fog-link endpoints are
+checked here, where a link's index is known.
 
 Documents are composed by PyYAML's libyaml-backed ``CSafeLoader`` when the
 installed PyYAML was built with libyaml, and by the pure-Python
@@ -59,6 +62,7 @@ from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from .billing import MeterIdentity
 from .engine import ArrivalProcess, BessChargeEntry, RunConfig, SessionPlan
+from .engine import check_run_config
 from .energy import BessState
 from .errors import ConfigError
 from .messages import DEFAULT_CLASSIFICATION, DataClass
@@ -82,8 +86,9 @@ class SchemaError(ConfigError):
 
 
 class DanglingReference(ConfigError):
-    """A workload entry references a node id the topology does not define
-    (or defines with an unusable tier)."""
+    """A workload entry or fog link references a node id the topology does
+    not define, or defines with an unusable tier (a fog node may not start
+    private data)."""
 
 
 _TIERS = {t.name.lower(): t for t in Tier}
@@ -592,35 +597,28 @@ def _build(doc: Any) -> ScenarioConfig:
     # -- reference stage ---------------------------------------------------
     topology = make_topology(nodes, links, mode)
     by_id = topology.by_id()
-    dangling: list[str] = []
-    for i, proc in enumerate(processes):
-        if proc.target not in by_id:
-            dangling.append(
-                f"workload.arrival_processes[{i}].target: "
-                f"node {proc.target} is not defined"
-            )
-    resolved_registry = {}
     for vehicle, (meter, account) in registry.items():
-        path = f"workload.vehicle_registry.{vehicle}.meter"
-        node = by_id.get(meter)
-        if node is None:
-            dangling.append(f"{path}: node {meter} is not defined")
-        elif node.tier is not Tier.DEVICE:
-            dangling.append(f"{path}: node {meter} is not a device-tier meter")
-        else:
-            resolved_registry[vehicle] = MeterIdentity(
-                meter=meter,
-                owner_account=account if account is not None else node.owner_account(),
-            )
-    for i, plan in enumerate(sessions):
-        path = f"workload.sessions[{i}].outlet_meter"
-        node = by_id.get(plan.outlet_meter)
-        if node is None:
-            dangling.append(f"{path}: node {plan.outlet_meter} is not defined")
-        elif node.tier is not Tier.DEVICE:
-            dangling.append(
-                f"{path}: node {plan.outlet_meter} is not a device-tier meter"
-            )
+        if account is None and meter in by_id:
+            account = by_id[meter].owner_account()
+        registry[vehicle] = MeterIdentity(meter=meter, owner_account=account)
+    run_config = RunConfig(
+        seed=seed,
+        horizon_s=horizon,
+        warmup_s=warmup,
+        topology=topology,
+        arrival_processes=tuple(processes),
+        sessions=tuple(sessions),
+        vehicle_registry=registry,
+        classification=classification,
+        tariff_per_kwh=tariff,
+        bess=bess,
+        bess_charge_schedule=tuple(schedule),
+        grid_available=grid_available,
+        hop_delay_s=hop_delay,
+    )
+    # The schema stage has checked every run and models field, so each
+    # line left names a workload field.
+    dangling = [f"workload.{problem}" for problem in check_run_config(run_config)]
     for i, (a, b) in enumerate(links):
         for end in (a, b):
             if end not in by_id:
@@ -634,22 +632,6 @@ def _build(doc: Any) -> ScenarioConfig:
     violations = validate_topology(topology)
     if violations:
         raise InvalidTopology(violations)
-
-    run_config = RunConfig(
-        seed=seed,
-        horizon_s=horizon,
-        warmup_s=warmup,
-        topology=topology,
-        arrival_processes=tuple(processes),
-        sessions=tuple(sessions),
-        vehicle_registry=resolved_registry,
-        classification=classification,
-        tariff_per_kwh=tariff,
-        bess=bess,
-        bess_charge_schedule=tuple(schedule),
-        grid_available=grid_available,
-        hop_delay_s=hop_delay,
-    )
     return ScenarioConfig(
         run_config=run_config, c_ms=c_ms, warmup_explicit=warmup_explicit
     )

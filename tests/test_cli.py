@@ -119,6 +119,26 @@ class TestValidate:
         assert main(["validate", str(bad)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("DanglingReference:")
 
+    @pytest.mark.parametrize("command", ["validate", "run", "compare"])
+    def test_private_data_from_a_fog_node_is_config_error(
+        self, command, tmp_path, capsys
+    ):
+        # Sealing MeterReading data for fog node 1 is forbidden, so the
+        # config cannot run; it once passed validate and failed mid-run.
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(
+            SCENARIO.replace(
+                "target: 2, payload_kind: GridTelemetry",
+                "target: 1, payload_kind: MeterReading",
+            ),
+            encoding="utf-8",
+        )
+        assert main([command, str(bad)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "DanglingReference: workload.arrival_processes[0].target: "
+            "fog node 1 may not hold keys for private MeterReading data\n"
+        )
+
 
 class TestRun:
     def test_writes_report_files(self, scenario_file, tmp_path, capsys):
@@ -200,7 +220,7 @@ class TestRun:
         monkeypatch.setattr(foggrid.cli, "load_config", load_broken)
         assert main(["run", str(scenario_file)]) == EXIT_RUNTIME
         err = capsys.readouterr().err
-        assert err.startswith("InvalidRunConfig: hop_delay_s must be")
+        assert err == "InvalidRunConfig: hop_delay_s: must be finite and nonnegative, got -1.0\n"
 
     def test_bad_seed_override(self, scenario_file, capsys):
         assert main(["run", str(scenario_file), "--seed", "-1"]) == EXIT_CONFIG

@@ -20,7 +20,6 @@ from foggrid import (
     InvalidTopology,
     MeterIdentity,
     MicrogridMode,
-    NegativeEnergy,
     RoutePattern,
     RunConfig,
     SealedEnvelope,
@@ -28,8 +27,6 @@ from foggrid import (
     SessionState,
     Tier,
     UnknownKind,
-    UnknownNode,
-    UnknownOutlet,
     littles_law_residual,
     mm1_analytic,
     resolve_route,
@@ -563,6 +560,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             foggrid.run(one_area_config(hop_delay_s=-0.5))
 
+    @pytest.fixture
+    def no_engine(self, monkeypatch):
+        """Fail any test that gets as far as building an engine."""
+
+        def refuse(cfg):
+            raise AssertionError("the engine was built for a rejected config")
+
+        monkeypatch.setattr(engine, "_Engine", refuse)
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -588,6 +594,19 @@ class TestConfigValidation:
             dict(sessions=(SessionPlan("ev", 2, 10.0, float("inf")),)),
             dict(tariff_per_kwh=float("nan")),
             dict(tariff_per_kwh=float("inf")),
+            dict(tariff_per_kwh=0.0),
+            dict(tariff_per_kwh=-1.0),
+            dict(seed=-1),
+            dict(seed=1.5),
+            dict(seed=True),
+            # Private data sealed for fog node 1, which may hold no keys.
+            dict(
+                arrival_processes=(
+                    ArrivalProcess(
+                        rate_per_s=1.0, target=1, payload_kind=METER_READING, size_bytes=64
+                    ),
+                )
+            ),
             # Registry meters that are not device-tier nodes: fog 1, cloud 0,
             # and an id the topology does not define.
             *(
@@ -600,18 +619,34 @@ class TestConfigValidation:
         ],
         ids=repr,
     )
-    def test_preconditions_raise_typed_error(self, overrides):
+    def test_preconditions_raise_typed_error(self, overrides, no_engine):
         with pytest.raises(InvalidRunConfig) as exc:
             foggrid.run(one_area_config(**overrides))
         assert isinstance(exc.value, FogGridError)
         assert isinstance(exc.value, ValueError)
+
+    def test_every_problem_is_listed_before_the_engine_is_built(self, no_engine):
+        cfg = one_area_config(
+            seed=-1,
+            tariff_per_kwh=0.0,
+            sessions=(SessionPlan("ev", 1, 10.0, 1.0),),
+        )
+        with pytest.raises(InvalidRunConfig) as exc:
+            foggrid.run(cfg)
+        assert exc.value.problems == [
+            "seed: must be an integer in [0, 2**64), got -1",
+            "tariff_per_kwh: must be finite and positive, got 0.0",
+            "sessions[0].outlet_meter: node 1 is not a device-tier meter",
+        ]
+        assert engine.check_run_config(cfg) == exc.value.problems
+        assert engine.check_run_config(one_area_config()) == []
 
     def test_registry_meter_error_names_the_vehicle(self):
         registry = {"ev-a": MeterIdentity(2, "a"), "ev-b": MeterIdentity(1, "b")}
         with pytest.raises(InvalidRunConfig) as exc:
             foggrid.run(one_area_config(vehicle_registry=registry))
         assert str(exc.value) == (
-            "vehicle_registry['ev-b']: meter 1 is not a device-tier node"
+            "vehicle_registry.ev-b.meter: node 1 is not a device-tier meter"
         )
 
     @pytest.mark.parametrize(
@@ -636,8 +671,9 @@ class TestConfigValidation:
                 ),
             )
         )
-        with pytest.raises(UnknownNode):
+        with pytest.raises(InvalidRunConfig) as exc:
             foggrid.run(cfg)
+        assert exc.value.problems == ["arrival_processes[0].target: node 99 is not defined"]
 
     def test_unclassified_payload_kind(self):
         cfg = one_area_config(
@@ -658,8 +694,11 @@ class TestConfigValidation:
                 ),
             )
         )
-        with pytest.raises(UnknownOutlet):
+        with pytest.raises(InvalidRunConfig) as exc:
             foggrid.run(cfg)
+        assert exc.value.problems == [
+            "sessions[0].outlet_meter: node 1 is not a device-tier meter"
+        ]
 
     def test_negative_session_energy(self):
         cfg = one_area_config(
@@ -669,5 +708,8 @@ class TestConfigValidation:
                 ),
             )
         )
-        with pytest.raises(NegativeEnergy):
+        with pytest.raises(InvalidRunConfig) as exc:
             foggrid.run(cfg)
+        assert exc.value.problems == [
+            "sessions[0].energy_kwh: must be finite and nonnegative, got -1.0"
+        ]

@@ -635,6 +635,36 @@ class TestDanglingReferences:
             parse_config(text)
         assert any("fog_links[0]" in p for p in problems_of(exc))
 
+    def test_every_reference_line_in_order(self):
+        # Pinned from the reference stage as it stood before the run rules
+        # moved to engine.check_run_config: the lines and their order.
+        text = MINIMAL.replace(
+            "topology:", "topology:\n  fog_links:\n    - [1, 7]"
+        ) + textwrap.dedent(
+            """
+            workload:
+              arrival_processes:
+                - {rate_per_s: 0.1, target: 2, payload_kind: GridTelemetry}
+                - {rate_per_s: 0.1, target: 99, payload_kind: GridTelemetry}
+              vehicle_registry:
+                ev-fog: {meter: 1}
+                ev-ghost: {meter: 42}
+                ev-ok: {meter: 2}
+              sessions:
+                - {vehicle_id: ev-ok, outlet_meter: 2, start_s: 1.0, energy_kwh: 1.0}
+                - {vehicle_id: ev-ok, outlet_meter: 0, start_s: 1.0, energy_kwh: 1.0}
+            """
+        )
+        with pytest.raises(DanglingReference) as exc:
+            parse_config(text)
+        assert problems_of(exc) == [
+            "workload.arrival_processes[1].target: node 99 is not defined",
+            "workload.vehicle_registry.ev-fog.meter: node 1 is not a device-tier meter",
+            "workload.vehicle_registry.ev-ghost.meter: node 42 is not defined",
+            "workload.sessions[1].outlet_meter: node 0 is not a device-tier meter",
+            "topology.fog_links[0]: node 7 is not defined",
+        ]
+
 
 class TestTopologyStage:
     def test_missing_cloud(self):
