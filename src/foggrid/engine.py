@@ -717,63 +717,88 @@ def _subject_of(kind: int, data) -> Optional[int]:
     return data.msg_id
 
 
-def check_run_config(cfg: RunConfig) -> list[str]:
-    """Every problem that keeps ``cfg`` from running, beside the topology
-    violations of :func:`validate_topology`, one line each, starting with
-    its RunConfig field path. This is the one statement of these rules:
-    :func:`run` raises the lines as InvalidRunConfig, and
-    ``scenario.parse_config`` as DanglingReference under YAML paths."""
+def check_run_values(cfg: RunConfig) -> list[str]:
+    """Every value of ``cfg`` that keeps it from running, whatever its
+    topology, one line each, starting with its RunConfig field path."""
     problems: list[str] = []
-    by_id = cfg.topology.by_id()
 
     def fail(path: str, msg: str) -> None:
         problems.append(f"{path}: {msg}")
 
-    # Both take the path of ``record`` and the names of its fields to check.
-    def nonnegative(prefix: str, record, *fields: str) -> None:
-        for name in fields:
-            value = getattr(record, name)
-            if not (math.isfinite(value) and value >= 0):
-                fail(prefix + name, f"must be finite and nonnegative, got {value!r}")
+    # Takes the path of a list of records and the names of their fields.
+    def nonnegative(path: str, records, *fields: str) -> None:
+        for i, record in enumerate(records):
+            for name in fields:
+                value = getattr(record, name)
+                if not (math.isfinite(value) and value >= 0):
+                    fail(f"{path}[{i}].{name}", f"must be finite and nonnegative, got {value!r}")
 
-    def device_meter(prefix: str, record, name: str) -> None:
-        node_id = getattr(record, name)
-        node = by_id.get(node_id)
-        if node is None:
-            fail(prefix + name, f"node {node_id} is not defined")
-        elif node.tier is not Tier.DEVICE:
-            fail(prefix + name, f"node {node_id} is not a device-tier meter")
-
-    seed, horizon, tariff = cfg.seed, cfg.horizon_s, cfg.tariff_per_kwh
+    seed, horizon, tariff, bess = cfg.seed, cfg.horizon_s, cfg.tariff_per_kwh, cfg.bess
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         fail("seed", f"must be an integer in [0, 2**64), got {seed!r}")
     if not (math.isfinite(horizon) and horizon > 0):
         fail("horizon_s", f"must be finite and positive, got {horizon!r}")
-    if not 0 <= cfg.warmup_s < horizon:
+    elif not 0 <= cfg.warmup_s < horizon:
         fail("warmup_s", f"must satisfy 0 <= warmup_s < horizon_s, got {cfg.warmup_s!r}")
-    nonnegative("", cfg, "hop_delay_s")
+    if not (math.isfinite(cfg.hop_delay_s) and cfg.hop_delay_s >= 0):
+        fail("hop_delay_s", f"must be finite and nonnegative, got {cfg.hop_delay_s!r}")
     if not (math.isfinite(tariff) and tariff > 0):
         fail("tariff_per_kwh", f"must be finite and positive, got {tariff!r}")
+    if bess is not None:
+        if not (math.isfinite(bess.capacity_kwh) and bess.capacity_kwh > 0):
+            fail("bess.capacity_kwh", f"must be finite and positive, got {bess.capacity_kwh!r}")
+        elif not 0 <= bess.soc_kwh <= bess.capacity_kwh:
+            fail("bess.soc_kwh", f"must be in [0, capacity_kwh], got {bess.soc_kwh!r}")
+        if not 0 < bess.efficiency <= 1:
+            fail("bess.efficiency", f"must be in (0, 1], got {bess.efficiency!r}")
+    nonnegative("bess_charge_schedule", cfg.bess_charge_schedule, "at_s", "energy_kwh")
+    nonnegative("arrival_processes", cfg.arrival_processes, "rate_per_s")
     for i, proc in enumerate(cfg.arrival_processes):
-        path, target, kind = f"arrival_processes[{i}].", proc.target, proc.payload_kind
+        kind, size = proc.payload_kind, proc.size_bytes
+        if kind not in cfg.classification:
+            fail(f"arrival_processes[{i}].payload_kind", f"{kind!r} has no classification entry")
+        if not size > 0:
+            fail(f"arrival_processes[{i}].size_bytes", f"must be positive, got {size!r}")
+    nonnegative("sessions", cfg.sessions, "start_s", "duration_s", "energy_kwh")
+    return problems
+
+
+def check_run_references(cfg: RunConfig) -> list[str]:
+    """Every node that ``cfg`` names and may not, one line each, starting
+    with its RunConfig field path."""
+    problems: list[str] = []
+    by_id = cfg.topology.by_id()
+
+    # Takes a path with a ``{}`` for the key, and (key, node id) pairs.
+    def device_meters(path: str, meters) -> None:
+        for key, node_id in meters:
+            node = by_id.get(node_id)
+            if node is None:
+                problems.append(f"{path.format(key)}: node {node_id} is not defined")
+            elif node.tier is not Tier.DEVICE:
+                problems.append(f"{path.format(key)}: node {node_id} is not a device-tier meter")
+
+    for i, proc in enumerate(cfg.arrival_processes):
+        path, target, kind = f"arrival_processes[{i}].target", proc.target, proc.payload_kind
         node = by_id.get(target)
         if node is None:
-            fail(f"{path}target", f"node {target} is not defined")
+            problems.append(f"{path}: node {target} is not defined")
         elif node.tier is Tier.FOG and cfg.classification.get(kind) is DataClass.PRIVATE:
             # Private data is sealed for its target (messages.seal).
-            fail(f"{path}target", f"fog node {target} may not hold keys for private {kind} data")
-        nonnegative(path, proc, "rate_per_s")
-        if not proc.size_bytes > 0:
-            fail(f"{path}size_bytes", f"must be positive, got {proc.size_bytes!r}")
-    for vehicle, identity in cfg.vehicle_registry.items():
-        device_meter(f"vehicle_registry.{vehicle}.", identity, "meter")
-    for i, plan in enumerate(cfg.sessions):
-        path = f"sessions[{i}]."
-        device_meter(path, plan, "outlet_meter")
-        nonnegative(path, plan, "start_s", "duration_s", "energy_kwh")
-    for i, entry in enumerate(cfg.bess_charge_schedule):
-        nonnegative(f"bess_charge_schedule[{i}].", entry, "at_s", "energy_kwh")
+            problems.append(f"{path}: fog node {target} may not hold keys for private {kind} data")
+    registry = cfg.vehicle_registry.items()
+    device_meters("vehicle_registry.{}.meter", ((v, identity.meter) for v, identity in registry))
+    device_meters("sessions[{}].outlet_meter", enumerate(p.outlet_meter for p in cfg.sessions))
     return problems
+
+
+def check_run_config(cfg: RunConfig) -> list[str]:
+    """Every problem that keeps ``cfg`` from running, beside the topology
+    violations of :func:`validate_topology`: the lines of
+    :func:`check_run_values`, then of :func:`check_run_references`, the
+    one statement of the run rules. :func:`run` raises them as
+    InvalidRunConfig; ``scenario.parse_config`` puts them under YAML paths."""
+    return check_run_values(cfg) + check_run_references(cfg)
 
 
 def run(cfg: RunConfig) -> SimResult:

@@ -226,13 +226,8 @@ def resolve_route(src: NodeId, dst: NodeId, t: Topology) -> Route:
     a, b = by_id[src], by_id[dst]
 
     if t.mode is Mode.CLOUD_ONLY:
-        hops: tuple[NodeId, ...]
-        if a.tier is Tier.CLOUD:
-            hops = (src, dst)
-        elif b.tier is Tier.CLOUD:
-            hops = (src, dst)
-        else:
-            hops = (src, t.cloud_id, dst)
+        # The cloud is one end, or relays between the two.
+        hops = (src, dst) if Tier.CLOUD in (a.tier, b.tier) else (src, t.cloud_id, dst)
         return Route(pattern=RoutePattern.CLOUD_DIRECT, hops=hops)
 
     # Same area, both device tier: stay local.

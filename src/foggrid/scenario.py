@@ -17,13 +17,11 @@ A scenario is one YAML document with four sections:
     tariff_per_kwh, grid_available, hop_delay_s. All optional.
 
 Parsing is total: malformed input of any shape produces a SchemaError
-listing every problem with its config path, never a crash. Identifier
-checks (DanglingReference) and structural topology checks
-(InvalidTopology) run only once the schema is clean, so their messages
-can assume well-typed fields. The identifier checks of the workload are
-``engine.check_run_config`` on the RunConfig built from the document,
-each line put under ``workload.``; only the fog-link endpoints are
-checked here, where a link's index is known.
+listing every problem with its config path, never a crash. The schema
+stage checks types here and values through ``engine.check_run_values``
+on the RunConfig built from the document. Once it is clean, node
+references (DanglingReference: ``engine.check_run_references`` and the
+fog-link endpoints) and then the topology (InvalidTopology) are checked.
 
 Documents are composed by PyYAML's libyaml-backed ``CSafeLoader`` when the
 installed PyYAML was built with libyaml, and by the pure-Python
@@ -54,6 +52,7 @@ from __future__ import annotations
 import gc
 import inspect
 import math
+import re
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
@@ -62,10 +61,10 @@ from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from .billing import MeterIdentity
 from .engine import ArrivalProcess, BessChargeEntry, RunConfig, SessionPlan
-from .engine import check_run_config
+from .engine import check_run_references, check_run_values
 from .energy import BessState
 from .errors import ConfigError
-from .messages import DEFAULT_CLASSIFICATION, DataClass
+from .messages import DEFAULT_CLASSIFICATION, METER_READING, DataClass
 from .topology import (
     DeviceRole,
     DeviceSpec,
@@ -128,6 +127,22 @@ _SPEC_KEYS = ("cpu_mhz", "cores", "memory_mb", "power_active_mw", "power_idle_mw
 
 #: Fraction of the horizon discarded as warmup when warmup_s is omitted.
 DEFAULT_WARMUP_FRACTION = 0.01
+
+#: The YAML path of each RunConfig field outside the workload section.
+_YAML_PATHS = {f: f"run.{f}" for f in ("seed", "horizon_s", "warmup_s")} | {
+    f: f"models.{f}" for f in ("hop_delay_s", "tariff_per_kwh", "bess", "bess_charge_schedule")
+}
+#: The same, naming the command-line override a run field comes from.
+_OVERRIDE_NAMES = _YAML_PATHS | dict(
+    seed="seed override", horizon_s="horizon override", warmup_s="horizon override: warmup_s"
+)
+
+
+def _relabel(problems: list[str], names: dict[str, str]) -> list[str]:
+    """Run-check lines with the RunConfig field each starts with renamed
+    by ``names``; a field not in ``names`` goes under ``workload.``."""
+    fields = [re.match(r"\w+", problem)[0] for problem in problems]
+    return [names.get(f, f"workload.{f}") + p[len(f):] for f, p in zip(fields, problems)]
 
 
 @dataclass(frozen=True)
@@ -241,11 +256,9 @@ class _Reader:
         return v
 
     def choice(self, m, key, path, table, required=True, default=None):
-        if key not in m or m[key] is None:
-            if required:
-                self.fail(f"{path}.{key}", "required field is missing")
+        v = self._get(m, key, path, required, None)
+        if v is None:
             return default
-        v = m[key]
         if not isinstance(v, str) or v not in table:
             options = ", ".join(sorted(table))
             self.fail(f"{path}.{key}", f"expected one of [{options}], got {v!r}")
@@ -426,19 +439,10 @@ def _build(doc: Any) -> ScenarioConfig:
     if "run" not in root:
         r.fail("run", "required section is missing")
     r.known_keys(run, "run", ("seed", "horizon_s", "warmup_s"))
-    seed = r.int_field(run, "seed", "run", False, 0, minimum=0)
-    if seed >= 2**64:
-        r.fail("run.seed", "must fit in 64 bits")
-        seed = 0
-    horizon = r.float_field(run, "horizon_s", "run", True, 1.0, 0.0, True)
+    seed = r.int_field(run, "seed", "run", False, 0)
+    horizon = r.float_field(run, "horizon_s", "run", True, 1.0)
     warmup_explicit = "warmup_s" in run and run["warmup_s"] is not None
-    if warmup_explicit:
-        warmup = r.float_field(run, "warmup_s", "run", True, 0.0, 0.0)
-        if warmup >= horizon:
-            r.fail("run.warmup_s", f"must be < horizon_s, got {warmup}")
-            warmup = 0.0
-    else:
-        warmup = DEFAULT_WARMUP_FRACTION * horizon
+    warmup = r.float_field(run, "warmup_s", "run", False, DEFAULT_WARMUP_FRACTION * horizon)
 
     # -- models section ---------------------------------------------------
     models = r.mapping(root.get("models"), "models")
@@ -468,16 +472,11 @@ def _build(doc: Any) -> ScenarioConfig:
     if "bess" in models and models["bess"] is not None:
         bm = r.mapping(models["bess"], "models.bess")
         r.known_keys(bm, "models.bess", ("capacity_kwh", "soc_kwh", "efficiency"))
-        capacity = r.float_field(bm, "capacity_kwh", "models.bess", True, 1.0, 0.0, True)
-        soc = r.float_field(bm, "soc_kwh", "models.bess", False, 0.0, 0.0)
-        eff = r.float_field(bm, "efficiency", "models.bess", False, 1.0, 0.0, True)
-        if eff > 1.0:
-            r.fail("models.bess.efficiency", f"must be <= 1, got {eff}")
-            eff = 1.0
-        if soc > capacity:
-            r.fail("models.bess.soc_kwh", "must not exceed capacity_kwh")
-            soc = capacity
-        bess = BessState(capacity_kwh=capacity, soc_kwh=soc, efficiency=eff)
+        bess = BessState(
+            capacity_kwh=r.float_field(bm, "capacity_kwh", "models.bess", True, 1.0),
+            soc_kwh=r.float_field(bm, "soc_kwh", "models.bess", False, 0.0),
+            efficiency=r.float_field(bm, "efficiency", "models.bess", False, 1.0),
+        )
     schedule = []
     for i, raw in enumerate(
         r.sequence(models.get("bess_charge_schedule"), "models.bess_charge_schedule")
@@ -487,13 +486,13 @@ def _build(doc: Any) -> ScenarioConfig:
         r.known_keys(em, path, ("at_s", "energy_kwh"))
         schedule.append(
             BessChargeEntry(
-                at_s=r.float_field(em, "at_s", path, True, 0.0, 0.0),
-                energy_kwh=r.float_field(em, "energy_kwh", path, True, 0.0, 0.0),
+                at_s=r.float_field(em, "at_s", path, True, 0.0),
+                energy_kwh=r.float_field(em, "energy_kwh", path, True, 0.0),
             )
         )
-    tariff = r.float_field(models, "tariff_per_kwh", "models", False, 0.2, 0.0, True)
+    tariff = r.float_field(models, "tariff_per_kwh", "models", False, 0.2)
     grid_available = r.bool_field(models, "grid_available", "models", False, True)
-    hop_delay = r.float_field(models, "hop_delay_s", "models", False, 0.0, 0.0)
+    hop_delay = r.float_field(models, "hop_delay_s", "models", False, 0.0)
 
     # -- topology section -------------------------------------------------
     topo_m = r.mapping(root.get("topology"), "topology")
@@ -520,6 +519,8 @@ def _build(doc: Any) -> ScenarioConfig:
             r.fail(path, f"expected a pair of node ids, got {raw!r}")
             continue
         links.append((raw[0], raw[1]))
+    topology = make_topology(nodes, links, mode)
+    by_id = topology.by_id()
 
     # -- workload section ---------------------------------------------------
     workload = r.mapping(root.get("workload"), "workload")
@@ -547,15 +548,12 @@ def _build(doc: Any) -> ScenarioConfig:
         path = f"workload.arrival_processes[{i}]"
         pm = r.mapping(raw, path)
         r.known_keys(pm, path, ("rate_per_s", "target", "payload_kind", "size_bytes"))
-        kind = r.str_field(pm, "payload_kind", path)
-        if kind and kind not in classification:
-            r.fail(f"{path}.payload_kind", f"{kind!r} has no classification entry")
         processes.append(
             ArrivalProcess(
-                rate_per_s=r.float_field(pm, "rate_per_s", path, True, 0.0, 0.0),
-                target=r.int_field(pm, "target", path, minimum=0),
-                payload_kind=kind,
-                size_bytes=r.int_field(pm, "size_bytes", path, False, 256, minimum=1),
+                rate_per_s=r.float_field(pm, "rate_per_s", path, True, 0.0),
+                target=r.int_field(pm, "target", path),
+                payload_kind=r.str_field(pm, "payload_kind", path, True, METER_READING),
+                size_bytes=r.int_field(pm, "size_bytes", path, False, 256),
             )
         )
 
@@ -568,11 +566,11 @@ def _build(doc: Any) -> ScenarioConfig:
             continue
         vm = r.mapping(raw, path)
         r.known_keys(vm, path, ("meter", "account"))
-        meter = r.int_field(vm, "meter", path, minimum=0)
-        account = None
+        meter = r.int_field(vm, "meter", path)
+        account = by_id[meter].owner_account() if meter in by_id else None
         if "account" in vm and vm["account"] is not None:
             account = r.str_field(vm, "account", path)
-        registry[vehicle] = (meter, account)
+        registry[vehicle] = MeterIdentity(meter=meter, owner_account=account)
 
     sessions = []
     for i, raw in enumerate(r.sequence(workload.get("sessions"), "workload.sessions")):
@@ -584,23 +582,13 @@ def _build(doc: Any) -> ScenarioConfig:
         sessions.append(
             SessionPlan(
                 vehicle_id=r.str_field(sm, "vehicle_id", path),
-                outlet_meter=r.int_field(sm, "outlet_meter", path, minimum=0),
-                start_s=r.float_field(sm, "start_s", path, True, 0.0, 0.0),
-                energy_kwh=r.float_field(sm, "energy_kwh", path, True, 0.0, 0.0),
-                duration_s=r.float_field(sm, "duration_s", path, False, 0.0, 0.0),
+                outlet_meter=r.int_field(sm, "outlet_meter", path),
+                start_s=r.float_field(sm, "start_s", path, True, 0.0),
+                energy_kwh=r.float_field(sm, "energy_kwh", path, True, 0.0),
+                duration_s=r.float_field(sm, "duration_s", path, False, 0.0),
             )
         )
 
-    if r.problems:
-        raise SchemaError(r.problems)
-
-    # -- reference stage ---------------------------------------------------
-    topology = make_topology(nodes, links, mode)
-    by_id = topology.by_id()
-    for vehicle, (meter, account) in registry.items():
-        if account is None and meter in by_id:
-            account = by_id[meter].owner_account()
-        registry[vehicle] = MeterIdentity(meter=meter, owner_account=account)
     run_config = RunConfig(
         seed=seed,
         horizon_s=horizon,
@@ -616,9 +604,14 @@ def _build(doc: Any) -> ScenarioConfig:
         grid_available=grid_available,
         hop_delay_s=hop_delay,
     )
-    # The schema stage has checked every run and models field, so each
-    # line left names a workload field.
-    dangling = [f"workload.{problem}" for problem in check_run_config(run_config)]
+    # Each placeholder passes check_run_values, so a field's type problem
+    # and a value problem elsewhere are both reported, each once.
+    problems = r.problems + _relabel(check_run_values(run_config), _YAML_PATHS)
+    if problems:
+        raise SchemaError(problems)
+
+    # -- reference stage ---------------------------------------------------
+    dangling = _relabel(check_run_references(run_config), _YAML_PATHS)
     for i, (a, b) in enumerate(links):
         for end in (a, b):
             if end not in by_id:
@@ -660,31 +653,18 @@ def with_overrides(
     """Apply command-line overrides on top of a parsed scenario.
 
     A horizon override rescales a defaulted warmup; an explicitly
-    configured warmup is kept and re-checked against the new horizon.
+    configured warmup is kept. The result must pass ``check_run_values``,
+    whose lines name the override they come from, raised as SchemaError.
     """
+    if seed is None and horizon_s is None:
+        return sc
     rc = sc.run_config
     if seed is not None:
-        if seed < 0 or seed >= 2**64:
-            raise SchemaError([f"seed override: must fit in 64 bits, got {seed}"])
         rc = replace(rc, seed=seed)
     if horizon_s is not None:
-        if not (math.isfinite(horizon_s) and horizon_s > 0):
-            raise SchemaError(
-                [f"horizon override: must be finite and > 0, got {horizon_s}"]
-            )
-        if sc.warmup_explicit:
-            if rc.warmup_s >= horizon_s:
-                raise SchemaError(
-                    [
-                        "horizon override: configured warmup_s "
-                        f"{rc.warmup_s} does not fit under horizon {horizon_s}"
-                    ]
-                )
-            rc = replace(rc, horizon_s=horizon_s)
-        else:
-            rc = replace(
-                rc,
-                horizon_s=horizon_s,
-                warmup_s=DEFAULT_WARMUP_FRACTION * horizon_s,
-            )
+        warmup = rc.warmup_s if sc.warmup_explicit else DEFAULT_WARMUP_FRACTION * horizon_s
+        rc = replace(rc, horizon_s=horizon_s, warmup_s=warmup)
+    problems = check_run_values(rc)
+    if problems:
+        raise SchemaError(_relabel(problems, _OVERRIDE_NAMES))
     return replace(sc, run_config=rc)

@@ -139,6 +139,20 @@ class TestValidate:
             "fog node 1 may not hold keys for private MeterReading data\n"
         )
 
+    @pytest.mark.parametrize("command", ["validate", "run", "compare"])
+    def test_empty_payload_kind_is_config_error(self, command, tmp_path, capsys):
+        # An empty kind needs a classification entry like any other.
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(
+            SCENARIO.replace("payload_kind: GridTelemetry", 'payload_kind: ""'),
+            encoding="utf-8",
+        )
+        assert main([command, str(bad)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "SchemaError: workload.arrival_processes[0].payload_kind: "
+            "'' has no classification entry\n"
+        )
+
 
 class TestRun:
     def test_writes_report_files(self, scenario_file, tmp_path, capsys):

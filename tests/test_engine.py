@@ -26,7 +26,6 @@ from foggrid import (
     SessionPlan,
     SessionState,
     Tier,
-    UnknownKind,
     littles_law_residual,
     mm1_analytic,
     resolve_route,
@@ -599,6 +598,12 @@ class TestConfigValidation:
             dict(seed=-1),
             dict(seed=1.5),
             dict(seed=True),
+            dict(bess=BessState(capacity_kwh=10.0, soc_kwh=20.0)),
+            dict(bess=BessState(capacity_kwh=-5.0, soc_kwh=0.0)),
+            dict(bess=BessState(capacity_kwh=float("nan"), soc_kwh=0.0)),
+            dict(bess=BessState(capacity_kwh=10.0, soc_kwh=5.0, efficiency=2.0)),
+            dict(bess=BessState(capacity_kwh=10.0, soc_kwh=5.0, efficiency=-1.0)),
+            dict(bess=BessState(capacity_kwh=10.0, soc_kwh=-3.0)),
             # Private data sealed for fog node 1, which may hold no keys.
             dict(
                 arrival_processes=(
@@ -683,8 +688,11 @@ class TestConfigValidation:
                 ),
             )
         )
-        with pytest.raises(UnknownKind):
+        with pytest.raises(InvalidRunConfig) as exc:
             foggrid.run(cfg)
+        assert exc.value.problems == [
+            "arrival_processes[0].payload_kind: 'Mystery' has no classification entry"
+        ]
 
     def test_fog_outlet_rejected(self):
         cfg = one_area_config(

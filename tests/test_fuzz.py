@@ -4,7 +4,8 @@ Each example takes a golden scenario, applies a few random edits to its
 YAML tree (a value replaced, a key or list entry deleted, an entry
 copied), and hands the result to ``parse_config`` and to ``foggrid
 validate``. Any document either parses into a config that meets every run
-precondition, or is rejected with a typed config error and exit code 2.
+precondition and gets through engine set-up, or is rejected with a typed
+config error and exit code 2.
 """
 
 import contextlib
@@ -19,7 +20,7 @@ from test_golden import SCENARIOS
 
 from foggrid import ConfigError, InvalidTopology, parse_config, validate_topology
 from foggrid.cli import EXIT_CONFIG, EXIT_OK, main
-from foggrid.engine import check_run_config
+from foggrid.engine import _Engine, check_run_config
 
 GOLDEN_DOCS = [yaml.safe_load(text) for text in SCENARIOS.values()]
 DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
@@ -89,6 +90,10 @@ def test_mutated_scenarios_parse_or_are_rejected(scenario_path, golden, edits, d
     else:
         assert check_run_config(sc.run_config) == []
         assert validate_topology(sc.run_config.topology) == []
+        # Set-up resolves every route and classifies every payload kind.
+        engine = _Engine(sc.run_config)
+        engine._setup_processes()
+        engine._setup_sessions()
         expected = EXIT_OK
 
     scenario_path.write_text(text, encoding="utf-8")

@@ -215,6 +215,48 @@ class TestSchemaErrors:
         assert any("tier" in p for p in problems)
         assert any("surprise" in p for p in problems)
 
+    def test_mixed_problems_keep_their_yaml_paths(self):
+        # Mistyped and out-of-range fields in every section, in one pass.
+        text = textwrap.dedent(
+            """
+            run: {seed: -1, horizon_s: abc, warmup_s: 50}
+            topology:
+              nodes:
+                - {id: 0, tier: cloud}
+                - {id: 1, tier: fog, area: 0}
+                - {id: 2, tier: device, area: 0}
+                - {id: 3, tier: nebula}
+            models:
+              tariff_per_kwh: 0
+              bess: {capacity_kwh: 5, soc_kwh: 6, efficiency: 1.5}
+              bess_charge_schedule:
+                - {at_s: -1, energy_kwh: 1.0}
+            workload:
+              arrival_processes:
+                - {rate_per_s: -0.5, target: 2, size_bytes: 0}
+                - {rate_per_s: 0.1, target: 2, payload_kind: Mystery}
+              sessions:
+                - {vehicle_id: ev, outlet_meter: 2, start_s: -1, energy_kwh: 1.0}
+            """
+        )
+        with pytest.raises(SchemaError) as exc:
+            parse_config(text)
+        assert sorted(p.split(":")[0] for p in problems_of(exc)) == [
+            "models.bess.efficiency",
+            "models.bess.soc_kwh",
+            "models.bess_charge_schedule[0].at_s",
+            "models.tariff_per_kwh",
+            "run.horizon_s",
+            "run.seed",
+            "run.warmup_s",
+            "topology.nodes[3].tier",
+            "workload.arrival_processes[0].payload_kind",
+            "workload.arrival_processes[0].rate_per_s",
+            "workload.arrival_processes[0].size_bytes",
+            "workload.arrival_processes[1].payload_kind",
+            "workload.sessions[0].start_s",
+        ]
+
     def test_missing_sections(self):
         with pytest.raises(SchemaError) as exc:
             parse_config("models: {}\n")
@@ -237,7 +279,9 @@ class TestSchemaErrors:
         text = MINIMAL.replace("horizon_s: 1000.0", f"horizon_s: 1000.0\n  seed: {2**64}")
         with pytest.raises(SchemaError) as exc:
             parse_config(text)
-        assert any("64 bits" in p for p in problems_of(exc))
+        assert problems_of(exc) == [
+            f"run.seed: must be an integer in [0, 2**64), got {2**64}"
+        ]
 
     def test_bess_bounds(self):
         text = MINIMAL + "models:\n  bess: {capacity_kwh: 5.0, soc_kwh: 6.0}\n"
@@ -717,10 +761,12 @@ class TestOverrides:
 
     def test_bad_override_values(self):
         sc = parse_config(MINIMAL)
-        with pytest.raises(SchemaError):
-            with_overrides(sc, seed=-1)
-        with pytest.raises(SchemaError):
-            with_overrides(sc, seed=2**64)
+        for seed in (-1, 2**64, 1.5, True):
+            with pytest.raises(SchemaError) as exc:
+                with_overrides(sc, seed=seed)
+            assert problems_of(exc) == [
+                f"seed override: must be an integer in [0, 2**64), got {seed!r}"
+            ]
         with pytest.raises(SchemaError):
             with_overrides(sc, horizon_s=0.0)
 
