@@ -8,11 +8,15 @@ their request/approval messages queue like any other traffic, so protocol
 latency reflects queue state.
 
 Determinism contract: a run is a pure function of its RunConfig. Every
-random draw comes from a generator derived from the master seed and a
-stable purpose key, so adding a node or process never perturbs the streams
-of existing ones. Each stream draws its exponentials in blocks of 16
-values, doubling up to 512; numpy fills a block element by element from the
-bit generator, so the values drawn do not depend on the block size.
+random draw comes from a stream derived from the master seed and a stable
+purpose key, so adding a node or process never perturbs the streams of
+existing ones. A stream is exactly numpy's ``PCG64(SeedSequence(
+entropy=seed, spawn_key=(purpose, *key)))``; _pcg64_states computes the
+states of all streams of a run in one bulk pass, and tests/test_streams.py
+and the Lindley oracle check it against numpy's own construction. Each
+stream draws its exponentials in blocks of 16 values, doubling up to 512,
+through one generator per run; numpy fills a block element by element from
+the bit generator, so the values drawn do not depend on the block size.
 
 Events are processed in strict (time, seq) order, seq assigned at
 scheduling time. Pending events sit in a heap, except those scheduled at
@@ -45,7 +49,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
 from itertools import count
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -71,6 +75,7 @@ from .messages import (
     DataClass,
     Message,
     Payload,
+    SealedEnvelope,
     classify,
     resolve_route,
     seal,
@@ -264,22 +269,142 @@ class _NodeState:
         self.samples = 0
 
 
-def _stream(seed: int, purpose: int, *key: int) -> np.random.Generator:
-    """Independent generator for (purpose, key), derived from the master
-    seed. Streams never collide across distinct keys."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(purpose, *key))
-    return np.random.Generator(np.random.PCG64(ss))
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64
+# seeding (pcg64.h), restated so that _pcg64_states runs them over every
+# key of a run at once.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 
 
-def _exp_draws(rng: np.random.Generator, rate: float) -> Iterator[float]:
-    """Exponential draws of ``rate`` from ``rng``, in blocks of 16 values
-    doubling up to 512, so a stream that is used little holds little.
-    Values are plain floats; numpy scalars must not leak into heap keys
-    (their repr differs and would change the digest)."""
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """The (xor, multiplier) pairs of SeedSequence's first ``n`` hash
+    steps, shape (n, 2): the constant starts at ``init``, and each step
+    xors the word with it, multiplies it by ``mult`` and multiplies the
+    word by the result. They depend on a step's position, not on data."""
+    pairs = []
+    for _ in range(n):
+        nxt = init * mult & _MASK32
+        pairs.append((init, nxt))
+        init = nxt
+    return np.array(pairs, dtype=np.uint32)
+
+
+# Entropy steps: four fill the pool from the seed and twelve mix it, then
+# four for each later word (computed here for up to 16 of them).
+_POOL_STEPS = _POOL_SIZE * _POOL_SIZE
+_MIX_CONSTANTS = _hash_constants(_INIT_A, _MULT_A, _POOL_STEPS + _POOL_SIZE * 16)
+_SEED_STEPS = _MIX_CONSTANTS[:_POOL_STEPS].tolist()
+# Output steps: SeedSequence.generate_state(4, np.uint64) reads the pool
+# twice round for its eight words.
+_OUT_XOR, _OUT_MULT = _hash_constants(_INIT_B, _MULT_B, 8).T[:, :, None]
+
+
+def _hashmix(value, xor, mult):
+    """One SeedSequence hash step, on an int or on uint32 arrays."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of hashed word ``y`` into pool word ``x``."""
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _words(n: int) -> list[int]:
+    """``n`` as SeedSequence reads an integer: 32-bit words, least
+    significant first."""
+    if n < 0:
+        raise ValueError(f"stream keys are nonnegative integers, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _pcg64_states(seed: int, keys: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """The ``(state, inc)`` of ``PCG64(SeedSequence(entropy=seed,
+    spawn_key=key))`` for each of ``keys`` (nonempty tuples of nonnegative
+    integers), in order, bit for bit, computed for all keys at once.
+
+    SeedSequence hashes the words of the seed, padded with zeros to its
+    pool of four words, and then the words of the key, one after another
+    into the pool. The seed's words come first, so its pool is computed
+    once. A later word's hash does not depend on the pool, and its
+    constants depend on its position only, so the keys are hashed as
+    uint32 columns, word by word; a key whose words have run out keeps its
+    pool. PCG64 then seeds itself from the pool's eight output words
+    (pcg64_set_seed, srandom), in Python ints.
+    """
+    if not keys:
+        return []
+    entropy = _words(seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    head, tail = entropy[:_POOL_SIZE], entropy[_POOL_SIZE:]
+    steps = iter(_SEED_STEPS)
+    pool = [_hashmix(w, *next(steps)) for w in head]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(steps)))
+
+    rows = [tail + [w for part in key for w in _words(part)] for key in keys]
+    lengths = [len(row) for row in rows]
+    longest = max(lengths)
+    n_steps = _POOL_STEPS + _POOL_SIZE * longest
+    constants = _MIX_CONSTANTS
+    if len(constants) < n_steps:
+        constants = _hash_constants(_INIT_A, _MULT_A, n_steps)
+    # (xor, mult) of word j into pool word d, each of shape (words, 4, 1).
+    later = constants[_POOL_STEPS:n_steps].reshape(longest, _POOL_SIZE, 2)
+    xor, mult = later.transpose(2, 0, 1)[..., None]
+    words = np.array([row + [0] * (longest - len(row)) for row in rows], dtype=np.uint32)
+    mixer = np.array(pool, dtype=np.uint32)[:, None]
+    shortest = min(lengths)
+    for j, hashed in enumerate(_hashmix(words.T[:, None], xor, mult)):
+        mixed = _mix(mixer, hashed)
+        # A key whose words have run out keeps its pool.
+        if j >= shortest:
+            mixed = np.where([length > j for length in lengths], mixed, mixer)
+        mixer = mixed
+    out = _hashmix(np.concatenate((mixer, mixer)), _OUT_XOR, _OUT_MULT)
+    # Each 64-bit seed word is two output words, the low half first.
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in np.ascontiguousarray(out.T, dtype="<u4").view("<u8").tolist():
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        states.append((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128, inc))
+    return states
+
+
+def _exp_draws(rng: np.random.Generator, state: tuple[int, int], rate: float) -> Iterator[float]:
+    """Exponential draws of ``rate`` from the PCG64 stream whose ``(state,
+    inc)`` is ``state``, in blocks of 16 values doubling up to 512, so a
+    stream that is used little holds little. ``rng`` draws each block: its
+    bit generator is set to the stream's state before and read after, so
+    the streams of a run share one generator. Values are plain floats;
+    numpy scalars must not leak into heap keys (their repr differs and
+    would change the digest)."""
+    bitgen = rng.bit_generator
+    s, inc = state
     scale = 1.0 / rate
     size = 16
     while True:
-        yield from rng.exponential(scale, size).tolist()
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": s, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        block = rng.exponential(scale, size).tolist()
+        s = bitgen.state["state"]["state"]
+        yield from block
+        # Freed before the next block is drawn, so that the next block's
+        # floats reuse its memory and the loop's working set stays small.
+        del block
         if size < 512:
             size *= 2
 
@@ -307,17 +432,30 @@ class _Engine:
         self.delivered = 0
         self.bytes_gen = 0
 
+        # Every stream of the run is derived in one pass: the service
+        # stream of each server, keyed by its id, and the arrival stream of
+        # each process with a positive rate, keyed by its target and its
+        # index among that target's processes. One generator draws them all.
+        servers = [n for n in t.nodes if n.tier is not Tier.DEVICE]
+        keys = [(_PURPOSE_SERVICE, n.id) for n in servers]
+        per_node_index: dict[NodeId, int] = {}
+        for proc in cfg.arrival_processes:
+            k = per_node_index.get(proc.target, 0)
+            per_node_index[proc.target] = k + 1
+            if proc.rate_per_s > 0:
+                keys.append((_PURPOSE_ARRIVAL, proc.target, k))
+        states = iter(_pcg64_states(cfg.seed, keys))
+        # Its own seed is never drawn from: each block sets a stream's state.
+        self.rng = np.random.Generator(np.random.PCG64(0))
         # Only fog/cloud nodes queue.
-        self.servers: dict[NodeId, _NodeState] = {}
-        for n in t.nodes:
-            if n.tier is not Tier.DEVICE:
-                self.servers[n.id] = _NodeState(
-                    n.id,
-                    _exp_draws(
-                        _stream(cfg.seed, _PURPOSE_SERVICE, n.id),
-                        n.service_rate_per_s,
-                    ),
-                )
+        self.servers: dict[NodeId, _NodeState] = {
+            n.id: _NodeState(n.id, _exp_draws(self.rng, next(states), n.service_rate_per_s))
+            for n in servers
+        }
+        self.proc_stream: list[Optional[Iterator[float]]] = [
+            _exp_draws(self.rng, next(states), proc.rate_per_s) if proc.rate_per_s > 0 else None
+            for proc in cfg.arrival_processes
+        ]
         # Device-tier nodes only count messages handled.
         self.device_arrivals: dict[NodeId, int] = {
             n.id: 0 for n in t.nodes if n.tier is Tier.DEVICE
@@ -336,43 +474,21 @@ class _Engine:
     # -- setup --------------------------------------------------------
 
     def _setup_processes(self) -> None:
-        cfg = self.cfg
-        self.proc_stream: list[Optional[Iterator[float]]] = []
         self.proc_size: list[int] = []
         self.proc_route: list[tuple[NodeId, ...]] = []
-        self.proc_content: list = []
-        self.proc_class: list[DataClass] = []
-        per_node_index: dict[NodeId, int] = {}
-        for proc in cfg.arrival_processes:
-            k = per_node_index.get(proc.target, 0)
-            per_node_index[proc.target] = k + 1
-            if proc.rate_per_s > 0:
-                stream = _exp_draws(
-                    _stream(cfg.seed, _PURPOSE_ARRIVAL, proc.target, k),
-                    proc.rate_per_s,
-                )
-            else:
-                stream = None
+        # (data class, content) of a process, from its first recorded
+        # message on: its payload is classified, and sealed if private,
+        # only when a message of it is recorded, so the rule that a fog
+        # target may not hold keys is check_run_references's alone.
+        self.proc_content: dict[int, tuple[DataClass, Union[Payload, SealedEnvelope]]] = {}
+        for proc in self.cfg.arrival_processes:
             serving = serving_node(self.by_id[proc.target], self.topo)
             if serving == proc.target:
                 hops: tuple[NodeId, ...] = (proc.target,)
             else:
                 hops = resolve_route(proc.target, serving, self.topo).hops
-            payload = Payload(kind=proc.payload_kind, bytes_size=proc.size_bytes)
-            dclass = classify(payload, cfg.classification)
-            if dclass is DataClass.PRIVATE:
-                # Confidential between the originating meter and the cloud;
-                # sealed once and shared by every message of the process.
-                content = seal(
-                    payload, {proc.target, self.topo.cloud_id}, self.topo
-                )
-            else:
-                content = payload
-            self.proc_stream.append(stream)
             self.proc_size.append(proc.size_bytes)
             self.proc_route.append(hops)
-            self.proc_content.append(content)
-            self.proc_class.append(dclass)
 
         for idx, stream in enumerate(self.proc_stream):
             if stream is not None:
@@ -388,14 +504,28 @@ class _Engine:
 
     def _process_message(self, transit: _Transit, at: float) -> Message:
         """The Message of a process transit, built only to be recorded.
-        ``at``, its first arrival, is when it was created."""
+        ``at``, its first arrival, is when it was created. Every message of
+        a process shares one content, built at the first."""
         idx = transit.process_idx
+        entry = self.proc_content.get(idx)
+        if entry is None:
+            proc = self.cfg.arrival_processes[idx]
+            payload = Payload(kind=proc.payload_kind, bytes_size=proc.size_bytes)
+            dclass = classify(payload, self.cfg.classification)
+            # Private data is confidential between the originating meter
+            # and the cloud.
+            if dclass is DataClass.PRIVATE:
+                content = seal(payload, {proc.target, self.topo.cloud_id}, self.topo)
+            else:
+                content = payload
+            entry = self.proc_content[idx] = (dclass, content)
+        dclass, content = entry
         return Message(
             id=transit.msg_id,
             src=transit.hops[0],
             dst=transit.hops[-1],
-            data_class=self.proc_class[idx],
-            content=self.proc_content[idx],
+            data_class=dclass,
+            content=content,
             created_at=at,
         )
 
@@ -784,7 +914,8 @@ def check_run_references(cfg: RunConfig) -> list[str]:
         if node is None:
             problems.append(f"{path}: node {target} is not defined")
         elif node.tier is Tier.FOG and cfg.classification.get(kind) is DataClass.PRIVATE:
-            # Private data is sealed for its target (messages.seal).
+            # Private data would be sealed for its target (messages.seal),
+            # which the engine does only for recorded messages.
             problems.append(f"{path}: fog node {target} may not hold keys for private {kind} data")
     registry = cfg.vehicle_registry.items()
     device_meters("vehicle_registry.{}.meter", ((v, identity.meter) for v, identity in registry))

@@ -3,6 +3,7 @@ trace structure, session protocol, and energy sourcing."""
 
 import itertools
 
+import numpy as np
 import pytest
 from conftest import cloud_node, device_node, fog_node, grid_topology, make_topology
 
@@ -77,10 +78,21 @@ class TestDeterminism:
     @pytest.mark.parametrize("purpose, key", [(0, (1,)), (1, (2, 0)), (1, (7, 3))])
     def test_draw_blocks_match_one_block(self, purpose, key):
         # 2,000 draws span seven growing blocks (16, 32, ..., 512, 512).
+        # Another stream draws through the same generator in between, its
+        # blocks falling due at other draws.
         n = 2000
-        draws = engine._exp_draws(engine._stream(5, purpose, *key), 0.4)
-        got = list(itertools.islice(draws, n))
-        assert got == engine._stream(5, purpose, *key).exponential(2.5, size=n).tolist()
+        state, other_state = engine._pcg64_states(5, [(purpose, *key), (0, 99)])
+        rng = np.random.Generator(np.random.PCG64(0))
+        draws = engine._exp_draws(rng, state, 0.4)
+        other = engine._exp_draws(rng, other_state, 3.0)
+        got = []
+        for value in itertools.islice(draws, n):
+            got.append(value)
+            next(other)
+            next(other)
+        ss = np.random.SeedSequence(entropy=5, spawn_key=(purpose, *key))
+        canonical = np.random.Generator(np.random.PCG64(ss))
+        assert got == canonical.exponential(2.5, size=n).tolist()
         assert all(type(v) is float for v in got)
 
     def test_added_area_leaves_existing_streams_untouched(self):

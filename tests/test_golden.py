@@ -15,13 +15,14 @@ sealed MeterReading traffic, billed and rejected sessions, a battery
 top-up that is curtailed at capacity, and events that share their time.
 """
 
+import collections
 import dataclasses
 import hashlib
 import textwrap
 
 import pytest
 
-from foggrid import Mode, RoutePattern, billing, engine, parse_config, run
+from foggrid import Mode, RoutePattern, billing, engine, messages, parse_config, run
 from foggrid.cli import EXIT_OK, main
 from foggrid.messages import SealedEnvelope
 
@@ -428,3 +429,39 @@ def test_unrecorded_run_builds_no_messages_or_events(monkeypatch):
     result = run(parse_config(SCENARIOS["fog-roaming"]).run_config)
     assert result.trace.digest == GOLDEN_DIGEST["fog-roaming"]
     assert (result.messages, result.trace.events) == (None, None)
+
+
+def test_process_payloads_sealed_only_when_recorded(monkeypatch):
+    # A process payload is classified, and sealed if private, at the first
+    # recorded message of the process, and its later messages share it.
+    calls = collections.Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[module.__name__, name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (engine, billing, messages):
+        for name in ("classify", "seal"):
+            if hasattr(module, name):
+                count(module, name)
+    rc = parse_config(SCENARIOS["fog-roaming"]).run_config
+    assert run(rc).trace.digest == GOLDEN_DIGEST["fog-roaming"]
+    assert not calls
+    recorded = run(dataclasses.replace(rc, record_events=True))
+    # Four processes, two of them private: MeterReading from meters 6 and 8.
+    assert (calls["foggrid.engine", "classify"], calls["foggrid.engine", "seal"]) == (4, 2)
+    for meter in (6, 8):
+        envelopes = [
+            m.content
+            for m in recorded.messages.values()
+            if m.src == meter
+            and isinstance(m.content, SealedEnvelope)
+            and m.content.inner.kind == "MeterReading"
+        ]
+        assert len(envelopes) > 1
+        assert all(e is envelopes[0] for e in envelopes)

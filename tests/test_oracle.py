@@ -4,26 +4,29 @@ In a session-free run with a constant hop delay, every fog or cloud node
 is a FIFO single server fed by merged Poisson streams, so its departures
 follow Lindley's recursion D_n = max(A_n, D_{n-1}) + S_n. The oracle
 rebuilds each node's arrival times A_n and service times S_n from the
-engine's own random streams (same master seed, purpose and key), runs the
+engine's random streams (same master seed, purpose and key), runs the
 recursion, and checks the per-node statistics of ``foggrid.run`` against
-it. It shares no code with the event loop, so a later change to the loop
-cannot defeat it.
+it. It builds each stream with numpy's own SeedSequence and PCG64, and
+shares no code with the event loop or the engine's bulk stream
+derivation, so a later change to either cannot defeat it.
 """
 
 import math
 
+import numpy as np
 from conftest import grid_topology
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import foggrid
 from foggrid import GRID_TELEMETRY, ArrivalProcess, Mode, RunConfig, Tier
-from foggrid.engine import _PURPOSE_ARRIVAL, _PURPOSE_SERVICE, _stream
+from foggrid.engine import _PURPOSE_ARRIVAL, _PURPOSE_SERVICE
 
 
 def _draws(seed, purpose, key, rate):
     """Exponential draws of one engine stream, 256 at a time."""
-    rng = _stream(seed, purpose, *key)
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(purpose, *key))
+    rng = np.random.Generator(np.random.PCG64(ss))
     while True:
         yield from rng.exponential(1.0 / rate, 256).tolist()
 
