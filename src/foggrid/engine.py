@@ -9,14 +9,18 @@ latency reflects queue state.
 
 Determinism contract: a run is a pure function of its RunConfig. Every
 random draw comes from a stream derived from the master seed and a stable
-purpose key, so adding a node or process never perturbs the streams of
-existing ones. A stream is exactly numpy's ``PCG64(SeedSequence(
-entropy=seed, spawn_key=(purpose, *key)))``; _pcg64_states computes the
-states of all streams of a run in one bulk pass, and tests/test_streams.py
-and the Lindley oracle check it against numpy's own construction. Each
-stream draws its exponentials in blocks of 16 values, doubling up to 512,
-through one generator per run; numpy fills a block element by element from
-the bit generator, so the values drawn do not depend on the block size.
+purpose key: a service stream is keyed by its node's id, an arrival stream
+by ``(target, k)``, where ``k`` counts the earlier processes at the same
+target. Adding a node, or appending a process, never perturbs the streams
+of existing ones; inserting a process before another at the same target
+shifts that one's ``k``, and so its draws. A stream is exactly numpy's
+``PCG64(SeedSequence(entropy=seed, spawn_key=(purpose, *key)))``;
+_pcg64_states computes the states of all streams of a run in one bulk
+pass, and tests/test_streams.py and the Lindley oracle check it against
+numpy's own construction. Each stream draws its exponentials in blocks of
+16 values, doubling up to 512, through one generator per run; numpy fills
+a block element by element from the bit generator, so the values drawn do
+not depend on the block size.
 
 Events are processed in strict (time, seq) order, seq assigned at
 scheduling time. Pending events sit in a heap, except those scheduled at
@@ -77,7 +81,6 @@ from .messages import (
     Payload,
     SealedEnvelope,
     classify,
-    resolve_route,
     seal,
     serving_node,
 )
@@ -482,11 +485,11 @@ class _Engine:
         # target may not hold keys is check_run_references's alone.
         self.proc_content: dict[int, tuple[DataClass, Union[Payload, SealedEnvelope]]] = {}
         for proc in self.cfg.arrival_processes:
-            serving = serving_node(self.by_id[proc.target], self.topo)
-            if serving == proc.target:
-                hops: tuple[NodeId, ...] = (proc.target,)
-            else:
-                hops = resolve_route(proc.target, serving, self.topo).hops
+            # A device's route climbs to the node serving it, which
+            # resolve_route would give too; a server's is itself.
+            target = proc.target
+            serving = serving_node(self.by_id[target], self.topo)
+            hops = (target,) if serving == target else (target, serving)
             self.proc_size.append(proc.size_bytes)
             self.proc_route.append(hops)
 

@@ -18,10 +18,14 @@ A scenario is one YAML document with four sections:
 
 Parsing is total: malformed input of any shape produces a SchemaError
 listing every problem with its config path, never a crash. The schema
-stage checks types here and values through ``engine.check_run_values``
-on the RunConfig built from the document. Once it is clean, node
-references (DanglingReference: ``engine.check_run_references`` and the
-fog-link endpoints) and then the topology (InvalidTopology) are checked.
+stage reads types, shapes and finiteness here, and checks run values
+through ``engine.check_run_values`` on the RunConfig built from the
+document. Once it is clean, node references (DanglingReference:
+``engine.check_run_references`` and the fog-link endpoints) and then the
+topology (InvalidTopology) are checked. Node values (id, area, service
+rate, spec) belong to the topology stage: ``topology.validate_topology``
+states their ranges, and its spec sign rule also covers each tier default
+of ``models.power_specs``.
 
 Documents are composed by PyYAML's libyaml-backed ``CSafeLoader`` when the
 installed PyYAML was built with libyaml, and by the pure-Python
@@ -76,6 +80,7 @@ from .topology import (
     default_device_spec,
     default_fog_spec,
     make_topology,
+    spec_sign_violations,
     validate_topology,
 )
 
@@ -201,9 +206,7 @@ class _Reader:
             return default
         return m[key]
 
-    def int_field(
-        self, m, key, path, required=True, default=0, minimum=None
-    ) -> int:
+    def int_field(self, m, key, path, required=True, default=0) -> int:
         v = self._get(m, key, path, required, default)
         if isinstance(v, bool) or not isinstance(v, int):
             self.fail(f"{path}.{key}", f"expected an integer, got {v!r}")
@@ -213,14 +216,9 @@ class _Reader:
         except OverflowError:
             self.fail(f"{path}.{key}", "must be within the float range")
             return default
-        if minimum is not None and v < minimum:
-            self.fail(f"{path}.{key}", f"must be >= {minimum}, got {v}")
-            return default
         return v
 
-    def float_field(
-        self, m, key, path, required=True, default=0.0, minimum=None, exclusive=False
-    ) -> float:
+    def float_field(self, m, key, path, required=True, default=0.0) -> float:
         v = self._get(m, key, path, required, default)
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             self.fail(f"{path}.{key}", f"expected a number, got {v!r}")
@@ -232,13 +230,6 @@ class _Reader:
         if not math.isfinite(v):
             self.fail(f"{path}.{key}", f"must be finite, got {v}")
             return default
-        if minimum is not None:
-            if exclusive and v <= minimum:
-                self.fail(f"{path}.{key}", f"must be > {minimum}, got {v}")
-                return default
-            if not exclusive and v < minimum:
-                self.fail(f"{path}.{key}", f"must be >= {minimum}, got {v}")
-                return default
         return v
 
     def str_field(self, m, key, path, required=True, default="") -> str:
@@ -271,35 +262,30 @@ def _read_spec(r: _Reader, raw: Any, path: str, base: DeviceSpec) -> DeviceSpec:
     m = r.mapping(raw, path)
     r.known_keys(m, path, _SPEC_KEYS)
     return DeviceSpec(
-        cpu_mhz=r.int_field(m, "cpu_mhz", path, False, base.cpu_mhz, minimum=1),
-        cores=r.int_field(m, "cores", path, False, base.cores, minimum=1),
-        memory_mb=r.int_field(m, "memory_mb", path, False, base.memory_mb, minimum=1),
-        power_active_mw=r.float_field(
-            m, "power_active_mw", path, False, base.power_active_mw, 0.0, True
-        ),
-        power_idle_mw=r.float_field(
-            m, "power_idle_mw", path, False, base.power_idle_mw, 0.0
-        ),
+        cpu_mhz=r.int_field(m, "cpu_mhz", path, False, base.cpu_mhz),
+        cores=r.int_field(m, "cores", path, False, base.cores),
+        memory_mb=r.int_field(m, "memory_mb", path, False, base.memory_mb),
+        power_active_mw=r.float_field(m, "power_active_mw", path, False, base.power_active_mw),
+        power_idle_mw=r.float_field(m, "power_idle_mw", path, False, base.power_idle_mw),
     )
 
 
-def _read_node(r: _Reader, raw: Any, path: str, tier_specs) -> Optional[Node]:
-    m = r.mapping(raw, path)
-    if not m:
-        r.fail(path, "node entry must be a mapping")
+def _read_node(r: _Reader, m: Any, path: str, tier_specs) -> Optional[Node]:
+    if not isinstance(m, dict) or not m:
+        r.fail(path, f"expected a non-empty mapping, got {m!r}")
         return None
     r.known_keys(
         m, path, ("id", "tier", "role", "area", "service_rate_per_s", "spec", "account")
     )
-    node_id = r.int_field(m, "id", path, minimum=0)
+    node_id = r.int_field(m, "id", path)
     tier = r.choice(m, "tier", path, _TIERS)
     if tier is None:
         return None
     role = r.choice(m, "role", path, _ROLES, False, _DEFAULT_ROLE[tier])
     area = None
     if "area" in m and m["area"] is not None:
-        area = r.int_field(m, "area", path, minimum=0)
-    rate = r.float_field(m, "service_rate_per_s", path, False, 1.0, 0.0, True)
+        area = r.int_field(m, "area", path)
+    rate = r.float_field(m, "service_rate_per_s", path, False, 1.0)
     spec = tier_specs[tier]
     if "spec" in m and m["spec"] is not None:
         spec = _read_spec(r, m["spec"], f"{path}.spec", spec)
@@ -467,7 +453,9 @@ def _build(doc: Any) -> ScenarioConfig:
             tier_specs[tier] = _read_spec(
                 r, power_specs[name], f"models.power_specs.{name}", tier_specs[tier]
             )
-    c_ms = r.float_field(models, "c_ms", "models", False, 1.0, 0.0, True)
+    c_ms = r.float_field(models, "c_ms", "models", False, 1.0)
+    if c_ms <= 0:
+        r.fail("models.c_ms", f"must be > 0.0, got {c_ms}")
     bess = None
     if "bess" in models and models["bess"] is not None:
         bm = r.mapping(models["bess"], "models.bess")
@@ -500,11 +488,8 @@ def _build(doc: Any) -> ScenarioConfig:
         r.fail("topology", "required section is missing")
     r.known_keys(topo_m, "topology", ("mode", "nodes", "fog_links"))
     mode = r.choice(topo_m, "mode", "topology", _MODES, False, Mode.FOG_AUGMENTED)
-    raw_nodes = r.sequence(topo_m.get("nodes"), "topology.nodes")
-    if not raw_nodes:
-        r.fail("topology.nodes", "at least one node is required")
     nodes = []
-    for i, raw in enumerate(raw_nodes):
+    for i, raw in enumerate(r.sequence(topo_m.get("nodes"), "topology.nodes")):
         node = _read_node(r, raw, f"topology.nodes[{i}]", tier_specs)
         if node is not None:
             nodes.append(node)
@@ -623,6 +608,9 @@ def _build(doc: Any) -> ScenarioConfig:
 
     # -- topology stage ------------------------------------------------------
     violations = validate_topology(topology)
+    for name in power_specs:  # also the tier defaults no node inherits
+        spec = tier_specs[_TIERS[name]]
+        violations += spec_sign_violations(spec, f"models.power_specs.{name}")
     if violations:
         raise InvalidTopology(violations)
     return ScenarioConfig(

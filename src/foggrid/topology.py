@@ -233,6 +233,19 @@ class Violation:
         return f"{self.code}: {self.detail}"
 
 
+def spec_sign_violations(spec: DeviceSpec, owner: str) -> list[Violation]:
+    """The spec sign rule for ``spec``, which ``owner`` names in each
+    violation: power_idle_mw must be >= 0, every other field positive."""
+    report = [
+        Violation("spec sign", f"{owner}: {name} must be positive")
+        for name in ("cpu_mhz", "cores", "memory_mb", "power_active_mw")
+        if getattr(spec, name) <= 0
+    ]
+    if spec.power_idle_mw < 0:
+        report.append(Violation("spec sign", f"{owner}: power_idle_mw must be >= 0"))
+    return report
+
+
 def _check_spec(node: Node, report: list[Violation]) -> None:
     s = node.spec
     numeric = {
@@ -249,17 +262,7 @@ def _check_spec(node: Node, report: list[Violation]) -> None:
             detail = f"{name} is beyond the float range"
         if detail is not None:
             report.append(Violation("spec non-finite", f"node {node.id}: {detail}"))
-    for name in ("cpu_mhz", "cores", "memory_mb", "power_active_mw"):
-        if numeric[name] <= 0:
-            report.append(
-                Violation(
-                    "spec sign", f"node {node.id}: {name} must be positive"
-                )
-            )
-    if s.power_idle_mw < 0:
-        report.append(
-            Violation("spec sign", f"node {node.id}: power_idle_mw must be >= 0")
-        )
+    report.extend(spec_sign_violations(s, f"node {node.id}"))
     if s.power_idle_mw > s.power_active_mw:
         report.append(
             Violation(
@@ -296,6 +299,8 @@ def _mode_free_report(t: Topology) -> tuple[tuple[Violation, ...], ...]:
         seen.add(n.id)
         if n.id < 0:
             report.append(Violation("negative id", f"node id {n.id}"))
+        if n.area is not None and n.area < 0:
+            report.append(Violation("negative area", f"node {n.id} has area {n.area}"))
 
     clouds = [n for n in t.nodes if n.tier is Tier.CLOUD]
     if len(clouds) != 1:

@@ -132,6 +132,32 @@ class TestDeterminism:
         assert small.energy[1] == grown.energy[1]
         assert small.queue_stats[10] == grown.queue_stats[10]
 
+    def test_appended_process_at_same_target_leaves_earlier_stream_untouched(self):
+        # An arrival stream is keyed by (target, k), k counting the earlier
+        # processes at that target, so appending one keeps every earlier k.
+        proc = ArrivalProcess(
+            rate_per_s=LAM, target=2, payload_kind=GRID_TELEMETRY, size_bytes=64
+        )
+        extra = ArrivalProcess(
+            rate_per_s=1 / 50, target=2, payload_kind="Extra", size_bytes=64
+        )
+        classification = {**foggrid.DEFAULT_CLASSIFICATION, "Extra": foggrid.DataClass.PUBLIC}
+
+        def created_at(processes):
+            cfg = one_area_config(
+                arrival_processes=processes,
+                classification=classification,
+                record_events=True,
+                horizon_s=20_000.0,
+                warmup_s=0.0,
+            )
+            messages = foggrid.run(cfg).messages.values()
+            return [m.created_at for m in messages if m.content.kind == GRID_TELEMETRY]
+
+        alone = created_at((proc,))
+        assert len(alone) > 100
+        assert created_at((proc, extra)) == alone
+
 
 class TestZeroWorkload:
     def test_empty_run(self):

@@ -31,7 +31,7 @@ from foggrid import (
     with_mode,
     with_overrides,
 )
-from foggrid.cli import EXIT_OK, main
+from foggrid.cli import EXIT_CONFIG, EXIT_OK, main
 from foggrid.scenario import _LOADER, _load
 
 MINIMAL = textwrap.dedent(
@@ -263,6 +263,24 @@ class TestSchemaErrors:
         problems = problems_of(exc)
         assert any(p.startswith("run:") for p in problems)
         assert any(p.startswith("topology:") for p in problems)
+
+    @pytest.mark.parametrize("entry", ["5", "null", "{}", "[1]"])
+    def test_non_mapping_node_entry_reported_once(self, entry):
+        nodes = f"[{entry}, {{id: 0, tier: cloud}}]"
+        with pytest.raises(SchemaError) as exc:
+            parse_config(f"run: {{horizon_s: 100.0}}\ntopology: {{nodes: {nodes}}}\n")
+        value = yaml.safe_load(entry)
+        assert problems_of(exc) == [
+            f"topology.nodes[0]: expected a non-empty mapping, got {value!r}"
+        ]
+
+    def test_c_ms_must_be_positive(self, tmp_path):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(MINIMAL + "models: {c_ms: 0}\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as exc:
+            load_config(path)
+        assert problems_of(exc) == ["models.c_ms: must be > 0.0, got 0.0"]
+        assert main(["validate", str(path)]) == EXIT_CONFIG
 
     def test_boolean_is_not_a_number(self):
         with pytest.raises(SchemaError) as exc:
@@ -710,7 +728,73 @@ class TestDanglingReferences:
         ]
 
 
+def _node_case(name, line, tier="device", area=0, **fields):
+    node = {"id": 2, "tier": tier, "area": area, **fields}
+    return pytest.param(node, line, id=name)
+
+
+_CLOUD_AND_FOG = [{"id": 0, "tier": "cloud"}, {"id": 1, "tier": "fog", "area": 0}]
+
+
 class TestTopologyStage:
+    @pytest.mark.parametrize(
+        "node, line",
+        [
+            _node_case("id", "negative id: node id -1", id=-1),
+            _node_case("device-area", "negative area: node 2 has area -1", area=-1),
+            _node_case("fog-area", "negative area: node 2 has area -1", tier="fog", area=-1),
+            _node_case(
+                "rate",
+                "service rate: node 2: service_rate_per_s must be positive and finite, got 0.0",
+                tier="fog",
+                area=1,
+                service_rate_per_s=0,
+            ),
+            *(
+                _node_case(name, f"spec sign: node 2: {name} must be positive", spec={name: 0})
+                for name in ("cpu_mhz", "cores", "memory_mb", "power_active_mw")
+            ),
+            _node_case(
+                "power_idle_mw",
+                "spec sign: node 2: power_idle_mw must be >= 0",
+                spec={"power_idle_mw": -1},
+            ),
+            pytest.param(
+                None, "cloud cardinality: expected exactly one cloud node, found 0 ([])", id="none"
+            ),
+        ],
+    )
+    def test_node_and_spec_ranges(self, node, line, tmp_path):
+        # The schema stage reads node values as types; their ranges are
+        # topology rules, each reported as an InvalidTopology line.
+        nodes = [] if node is None else [*_CLOUD_AND_FOG, node]
+        doc = {"run": {"horizon_s": 100.0}, "topology": {"nodes": nodes}}
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        with pytest.raises(InvalidTopology) as exc:
+            load_config(path)
+        assert line in [str(v) for v in exc.value.violations]
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+
+    def test_tier_spec_ranges_without_a_node_of_the_tier(self):
+        # The spec sign rule covers a tier default that no node inherits.
+        text = textwrap.dedent(
+            """
+            run: {horizon_s: 100.0}
+            topology:
+              mode: cloud-only
+              nodes: [{id: 0, tier: cloud}, {id: 2, tier: device, area: 0}]
+            models:
+              power_specs: {fog: {cores: 0, power_idle_mw: -1}}
+            """
+        )
+        with pytest.raises(InvalidTopology) as exc:
+            parse_config(text)
+        assert [str(v) for v in exc.value.violations] == [
+            "spec sign: models.power_specs.fog: cores must be positive",
+            "spec sign: models.power_specs.fog: power_idle_mw must be >= 0",
+        ]
+
     def test_missing_cloud(self):
         text = textwrap.dedent(
             """

@@ -115,6 +115,11 @@ class TestValidation:
         t = make_topology([cloud_node(), bad_fog])
         assert "missing area" in codes(t)
 
+    @pytest.mark.parametrize("make", [device_node, fog_node], ids=["device", "fog"])
+    def test_negative_area(self, make):
+        t = make_topology([cloud_node(), make(2, area=-1)], mode=Mode.CLOUD_ONLY)
+        assert [str(v) for v in validate_topology(t)] == ["negative area: node 2 has area -1"]
+
     def test_nonpositive_service_rate(self):
         bad = dataclasses.replace(fog_node(1, area=0), service_rate_per_s=0.0)
         t = make_topology([cloud_node(), bad])
