@@ -68,10 +68,15 @@ class ProcessingModel:
 
 
 def processing_time(m: ProcessingModel, n: int) -> float:
-    """Milliseconds to process a data set of size ``n``; T(1) = 0."""
+    """Milliseconds to process a data set of size ``n``; T(1) = 0. Past
+    the float range the time is ``inf``, as it already is for an ``n``
+    just inside it."""
     if n < 1:
         raise NonpositiveN(f"data-set size must be >= 1, got {n!r}")
-    return m.c_ms * n * math.log2(n)
+    try:
+        return m.c_ms * n * math.log2(n)
+    except OverflowError:  # an int ``n`` too large for a float
+        return math.inf
 
 
 @dataclass(frozen=True)

@@ -238,15 +238,15 @@ class _Transit:
 
 
 class _NodeState:
-    """Queue and statistics accumulators for one fog/cloud server."""
+    """Queue and statistics accumulators for one fog/cloud server. The
+    queue holds every message at the server, the one in service first, so
+    its length is the population and the server is busy while it is
+    nonempty."""
 
     __slots__ = (
-        "node_id",
         "service",
         "queue",
-        "busy",
         "busy_since",
-        "n",
         "last_t",
         "area_window",
         "busy_total",
@@ -256,13 +256,10 @@ class _NodeState:
         "samples",
     )
 
-    def __init__(self, node_id, service):
-        self.node_id = node_id
+    def __init__(self, service):
         self.service = service
         self.queue = deque()
-        self.busy = False
         self.busy_since = 0.0
-        self.n = 0
         self.last_t = 0.0
         self.area_window = 0.0
         self.busy_total = 0.0
@@ -431,7 +428,6 @@ class _Engine:
         self.messages: Optional[dict[int, Message]] = {} if cfg.record_events else None
 
         self.msg_id = 0
-        self.generated = 0
         self.delivered = 0
         self.bytes_gen = 0
 
@@ -452,7 +448,7 @@ class _Engine:
         self.rng = np.random.Generator(np.random.PCG64(0))
         # Only fog/cloud nodes queue.
         self.servers: dict[NodeId, _NodeState] = {
-            n.id: _NodeState(n.id, _exp_draws(self.rng, next(states), n.service_rate_per_s))
+            n.id: _NodeState(_exp_draws(self.rng, next(states), n.service_rate_per_s))
             for n in servers
         }
         self.proc_stream: list[Optional[Iterator[float]]] = [
@@ -553,16 +549,23 @@ class _Engine:
     # -- event handlers -----------------------------------------------
 
     def _integrate(self, st: _NodeState, now: float) -> None:
-        if now > self.warmup and st.n:
+        if now > self.warmup and st.queue:
             lo = st.last_t if st.last_t > self.warmup else self.warmup
-            st.area_window += st.n * (now - lo)
+            st.area_window += len(st.queue) * (now - lo)
         st.last_t = now
+
+    def _close_busy(self, st: _NodeState, now: float) -> None:
+        """Add the busy period from ``st.busy_since`` to ``now`` to the
+        busy totals, the part after the warmup to the window's."""
+        st.busy_total += now - st.busy_since
+        lo = st.busy_since if st.busy_since > self.warmup else self.warmup
+        if now > lo:
+            st.busy_window += now - lo
 
     def _handle_arrival(self, now: float, node: NodeId, transit: _Transit) -> None:
         if transit.hop_idx == 0:
             idx = transit.process_idx
             if idx is not None:
-                self.generated += 1
                 self.bytes_gen += self.proc_size[idx]
                 # Keep the Poisson stream flowing: draw the next generation.
                 nxt = now + next(self.proc_stream[idx])
@@ -585,10 +588,8 @@ class _Engine:
         if now >= self.warmup:
             st.arrivals_window += 1
         self._integrate(st, now)
-        st.n += 1
         st.queue.append(transit)
-        if not st.busy:
-            st.busy = True
+        if len(st.queue) == 1:
             self.now_queue.append((now, next(self.seq), _SERVICE_START, node, None))
 
     def _handle_service_start(self, now: float, node: NodeId, _data) -> None:
@@ -599,20 +600,15 @@ class _Engine:
 
     def _handle_service_end(self, now: float, node: NodeId, _data) -> None:
         st = self.servers[node]
-        transit = st.queue.popleft()
+        # The message in service still counts until now.
         self._integrate(st, now)
-        st.n -= 1
-        st.busy_total += now - st.busy_since
-        lo = st.busy_since if st.busy_since > self.warmup else self.warmup
-        if now > lo:
-            st.busy_window += now - lo
+        transit = st.queue.popleft()
+        self._close_busy(st, now)
         if transit.node_arrival >= self.warmup:
             st.samples += 1
             st.sojourn_sum += now - transit.node_arrival
         if st.queue:
             self.now_queue.append((now, next(self.seq), _SERVICE_START, node, None))
-        else:
-            st.busy = False
         self._forward(now, node, transit)
 
     def _forward(self, now: float, node: NodeId, transit: _Transit) -> None:
@@ -632,7 +628,6 @@ class _Engine:
     def _send_session_message(self, now: float, hops, size: int, step, msg) -> None:
         """Put a session message of ``size`` payload bytes on the wire
         under the next message id."""
-        self.generated += 1
         self.bytes_gen += size
         transit = _Transit(self.msg_id, hops, step=step, msg=msg)
         self.msg_id += 1
@@ -796,28 +791,23 @@ class _Engine:
                     EnergyLedger(node=node), tnode.spec, 0.0, horizon
                 )
                 continue
-            # Close the integrals at the horizon.
+            # Close the integrals, and a busy period, at the horizon.
             self._integrate(st, horizon)
-            busy_total = st.busy_total
-            busy_window = st.busy_window
-            if st.busy:
-                busy_total += horizon - st.busy_since
-                lo = st.busy_since if st.busy_since > self.warmup else self.warmup
-                if horizon > lo:
-                    busy_window += horizon - lo
+            if st.queue:
+                self._close_busy(st, horizon)
             stats[node] = QueueStats(
                 node=node,
                 lambda_hat=st.arrivals_window / window,
                 mean_wait_s=st.sojourn_sum / st.samples if st.samples else 0.0,
                 mean_in_system=st.area_window / window,
-                utilization=busy_window / window,
+                utilization=st.busy_window / window,
                 samples=st.samples,
             )
             energy[node] = accrue_energy(
                 EnergyLedger(node=node),
                 tnode.spec,
-                busy_total,
-                horizon - busy_total,
+                st.busy_total,
+                horizon - st.busy_total,
             )
 
         trace = SimTrace(
@@ -833,7 +823,10 @@ class _Engine:
             sessions=sessions,
             bills=tuple(self.bills),
             session_sources=dict(self.session_sources),
-            messages_generated=self.generated,
+            # Exact: every message id is handed out at or before the
+            # horizon, when its first arrival is scheduled, and the loop
+            # handles every event up to the horizon, each such arrival too.
+            messages_generated=self.msg_id,
             messages_delivered=self.delivered,
             bytes_generated=self.bytes_gen,
             microgrid_mode=self.mode,

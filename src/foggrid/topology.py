@@ -146,21 +146,28 @@ class Node:
 class Topology:
     """A validated-or-not snapshot of the whole network.
 
-    Node lookups go through two indexes built on first use and kept for
-    the life of the instance (the fields are immutable, so they never go
-    stale), and so does the mode-independent part of the validation
-    report. :meth:`with_mode` hands all three to the flipped topology.
-    The dict returned by :meth:`by_id` is shared: do not mutate it.
+    ``cloud_id`` is derived from the nodes, not stored. It and the two
+    node lookup indexes are built on first use and kept for the life of
+    the instance (the fields are immutable, so they never go stale), and
+    so is the mode-independent part of the validation report.
+    :meth:`with_mode` hands all four to the flipped topology. The dict
+    returned by :meth:`by_id` is shared: do not mutate it.
     """
 
     nodes: tuple[Node, ...]
     fog_links: frozenset[frozenset[NodeId]] = field(default_factory=frozenset)
     mode: Mode = Mode.FOG_AUGMENTED
-    cloud_id: NodeId = -1
 
     @cached_property
     def _by_id(self) -> dict[NodeId, Node]:
         return {n.id: n for n in self.nodes}
+
+    @cached_property
+    def cloud_id(self) -> NodeId:
+        """The id of the one cloud node, or -1 unless there is exactly one
+        (validate_topology reports the cardinality violation)."""
+        clouds = [n.id for n in self.nodes if n.tier is Tier.CLOUD]
+        return clouds[0] if len(clouds) == 1 else -1
 
     @cached_property
     def _fog_by_area(self) -> dict[FogAreaId, Node]:
@@ -177,11 +184,14 @@ class Topology:
         return _mode_free_report(self)
 
     def with_mode(self, mode: Mode) -> Topology:
-        """This node set in ``mode``, sharing this topology's indexes and
-        validation report (none of them depends on the mode)."""
+        """This node set in ``mode``, sharing this topology's cloud id,
+        indexes and validation report (none of them depends on the mode)."""
         flipped = replace(self, mode=mode)
         flipped.__dict__.update(
-            _by_id=self._by_id, _fog_by_area=self._fog_by_area, _report=self._report
+            cloud_id=self.cloud_id,
+            _by_id=self._by_id,
+            _fog_by_area=self._fog_by_area,
+            _report=self._report,
         )
         return flipped
 
@@ -210,16 +220,10 @@ def make_topology(
     fog_links=(),
     mode: Mode = Mode.FOG_AUGMENTED,
 ) -> Topology:
-    """Build a Topology, inferring cloud_id from the (single) cloud node.
-
-    If the cloud count is not exactly one, cloud_id is set to -1 and
-    validate_topology will report the cardinality violation.
-    """
-    nodes = tuple(nodes)
-    clouds = [n.id for n in nodes if n.tier is Tier.CLOUD]
-    cloud_id = clouds[0] if len(clouds) == 1 else -1
+    """Build a Topology from any iterables of nodes and of fog-link pairs.
+    Its cloud_id is derived from the nodes, as for any Topology."""
     links = frozenset(frozenset(pair) for pair in fog_links)
-    return Topology(nodes=nodes, fog_links=links, mode=mode, cloud_id=cloud_id)
+    return Topology(nodes=tuple(nodes), fog_links=links, mode=mode)
 
 
 @dataclass(frozen=True)
@@ -309,14 +313,6 @@ def _mode_free_report(t: Topology) -> tuple[tuple[Violation, ...], ...]:
                 "cloud cardinality",
                 f"expected exactly one cloud node, found {len(clouds)} "
                 f"({[n.id for n in clouds]})",
-            )
-        )
-    elif t.cloud_id != clouds[0].id:
-        report.append(
-            Violation(
-                "cloud id mismatch",
-                f"cloud_id {t.cloud_id} does not name the cloud node "
-                f"{clouds[0].id}",
             )
         )
 

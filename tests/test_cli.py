@@ -166,6 +166,39 @@ class TestRun:
         assert "mean_wait_s: " in out
         assert "trace_digest: " in out
 
+    @pytest.mark.parametrize(
+        "rate, headline",
+        [
+            (
+                "0.016666666666666666",
+                "mean_wait_s: 75.9\ntotal_energy_mj: 2.47325e+06\n"
+                "trace_digest: 533280e76314a246\n",
+            ),
+            ("0", "mean_wait_s: n/a\ntotal_energy_mj: 0\ntrace_digest: e4a6a0577479b2b4\n"),
+        ],
+        ids=["traffic", "idle"],
+    )
+    def test_stdout_bytes(self, rate, headline, tmp_path, capsys):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(SCENARIO.replace("0.016666666666666666", rate), encoding="utf-8")
+        assert main(["run", str(path), "--out", "o"]) == EXIT_OK
+        names = ("nodes.csv", "sessions.csv", "summary.txt")
+        wrote = "".join(f"wrote o/{name}\n" for name in names)
+        assert capsys.readouterr().out == wrote + headline
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_message_bytes_beyond_float_range(self, command, tmp_path):
+        # Each size is in range; their total is not, and prices at inf.
+        big = tmp_path / "big.yaml"
+        doc = SCENARIO.replace("size_bytes: 64", f"size_bytes: {10**307}")
+        big.write_text(doc, encoding="utf-8")
+        assert main(["validate", str(big)]) == EXIT_OK
+        assert main([command, str(big), "--out", "o"]) == EXIT_OK
+        summaries = sorted((tmp_path / "o").glob("**/summary.txt"))
+        assert len(summaries) == (1 if command == "run" else 2)
+        for summary in summaries:
+            assert "nlogn_processing_ms: inf" in summary.read_text().splitlines()
+
     def test_default_directory(self, scenario_file, tmp_path):
         assert main(["run", str(scenario_file)]) == EXIT_OK
         assert (tmp_path / "foggrid-out" / "summary.txt").exists()

@@ -85,6 +85,11 @@ class TestProcessingModel:
         n = 2**k
         assert processing_time(ProcessingModel(c_ms=c), n) == c * n * k
 
+    def test_beyond_the_float_range_is_infinite(self):
+        # Just inside the range the product already overflows to inf.
+        assert processing_time(ProcessingModel(), 10**307) == math.inf
+        assert processing_time(ProcessingModel(), 10**400) == math.inf
+
     @given(n=st.integers(2, 10**9))
     def test_superlinear_growth(self, n):
         m = ProcessingModel()

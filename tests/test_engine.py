@@ -229,6 +229,20 @@ class TestQueueStatistics:
             ledger.active_time_s * 199.0, rel=1e-12
         )
 
+    def test_busy_period_open_at_the_horizon_counts(self):
+        # The gateway is still serving its first message at the horizon,
+        # so it is busy from that message's service start to the horizon.
+        topo = grid_topology(areas=1, devices_per_area=1, fog_rate=1e-12)
+        cfg = one_area_config(
+            topology=topo, horizon_s=1000.0, warmup_s=0.0, record_events=True
+        )
+        result = foggrid.run(cfg)
+        kinds = [e.kind for e in result.trace.events]
+        assert EventKind.SERVICE_END not in kinds
+        start = result.trace.events[kinds.index(EventKind.SERVICE_START)].time
+        assert result.energy[1].active_time_s == 1000.0 - start
+        assert result.queue_stats[1].utilization == (1000.0 - start) / 1000.0
+
 
 def scan_trace(result, topology):
     """Structural invariants of a recorded event trace."""

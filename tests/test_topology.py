@@ -12,6 +12,7 @@ from foggrid import (
     Mode,
     Node,
     Tier,
+    Topology,
     default_cloud_spec,
     default_device_spec,
     default_fog_spec,
@@ -180,6 +181,18 @@ class TestMakeTopology:
         assert make_topology([fog_node(1, area=0)]).cloud_id == -1
         assert make_topology([cloud_node(0), cloud_node(1)]).cloud_id == -1
 
+    def test_direct_construction_derives_cloud_id(self):
+        t = Topology(nodes=(cloud_node(9), fog_node(1, area=0), device_node(2, area=0)))
+        assert validate_topology(t) == []
+        assert t.cloud_id == 9
+
+    def test_replaced_nodes_give_their_cloud_id(self):
+        t = make_topology([cloud_node(9), fog_node(1, area=0)])
+        assert t.cloud_id == 9
+        moved = dataclasses.replace(t, nodes=(fog_node(1, area=0), cloud_node(4)))
+        assert moved.cloud_id == 4
+        assert validate_topology(moved) == []
+
     def test_links_are_unordered(self):
         t = grid_topology(areas=2, links=((0, 1),))
         assert t.has_fog_link(1, 2)
@@ -312,6 +325,7 @@ class TestReportOnce:
         assert flipped.mode is Mode.CLOUD_ONLY and t.mode is Mode.FOG_AUGMENTED
         assert flipped.by_id() is t.by_id()
         assert flipped.fog_for_area(1) is t.fog_for_area(1)
+        assert flipped.__dict__["cloud_id"] == t.cloud_id == 0
         assert validate_topology(flipped) == validate_topology(t) == []
 
     def test_report_is_a_fresh_list(self):
