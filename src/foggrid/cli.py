@@ -10,8 +10,8 @@ Three subcommands:
 ``foggrid validate <config>``
     Parse and validate only; print ``ok`` on success.
 
-Output directory precedence: --out, then $FOGGRID_OUT, then
-./foggrid-out. Exit codes: 0 ok, 2 config error, 3 runtime error.
+Output directory precedence: --out, then $FOGGRID_OUT unless it is
+empty, then ./foggrid-out. Exit codes: 0 ok, 2 config error, 3 runtime error.
 Errors go to stderr, one line per problem, prefixed with the error
 category (``SchemaError:``, ``DanglingReference:``, ``InvalidTopology:``,
 ``IoFailure:``, ...).
@@ -80,7 +80,7 @@ def _parser() -> argparse.ArgumentParser:
 def _out_dir(args: argparse.Namespace) -> str:
     if args.out is not None:
         return args.out
-    return os.environ.get("FOGGRID_OUT", "foggrid-out")
+    return os.environ.get("FOGGRID_OUT") or "foggrid-out"
 
 
 def _load(args: argparse.Namespace) -> ScenarioConfig:

@@ -47,7 +47,6 @@ route reversed, so a session resolves one route.
 from __future__ import annotations
 
 import hashlib
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -85,7 +84,7 @@ from .messages import (
     serving_node,
 )
 from .queueing import QueueStats
-from .topology import InvalidTopology, NodeId, Tier, Topology, validate_topology
+from .topology import FLOAT_MAX, InvalidTopology, NodeId, Tier, Topology, validate_topology
 
 # Purpose codes for deriving per-(node, purpose) random streams.
 _PURPOSE_SERVICE = 0
@@ -856,22 +855,22 @@ def check_run_values(cfg: RunConfig) -> list[str]:
         for i, record in enumerate(records):
             for name in fields:
                 value = getattr(record, name)
-                if not (math.isfinite(value) and value >= 0):
+                if not 0 <= value <= FLOAT_MAX:
                     fail(f"{path}[{i}].{name}", f"must be finite and nonnegative, got {value!r}")
 
     seed, horizon, tariff, bess = cfg.seed, cfg.horizon_s, cfg.tariff_per_kwh, cfg.bess
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         fail("seed", f"must be an integer in [0, 2**64), got {seed!r}")
-    if not (math.isfinite(horizon) and horizon > 0):
+    if not 0 < horizon <= FLOAT_MAX:
         fail("horizon_s", f"must be finite and positive, got {horizon!r}")
     elif not 0 <= cfg.warmup_s < horizon:
         fail("warmup_s", f"must satisfy 0 <= warmup_s < horizon_s, got {cfg.warmup_s!r}")
-    if not (math.isfinite(cfg.hop_delay_s) and cfg.hop_delay_s >= 0):
+    if not 0 <= cfg.hop_delay_s <= FLOAT_MAX:
         fail("hop_delay_s", f"must be finite and nonnegative, got {cfg.hop_delay_s!r}")
-    if not (math.isfinite(tariff) and tariff > 0):
+    if not 0 < tariff <= FLOAT_MAX:
         fail("tariff_per_kwh", f"must be finite and positive, got {tariff!r}")
     if bess is not None:
-        if not (math.isfinite(bess.capacity_kwh) and bess.capacity_kwh > 0):
+        if not 0 < bess.capacity_kwh <= FLOAT_MAX:
             fail("bess.capacity_kwh", f"must be finite and positive, got {bess.capacity_kwh!r}")
         elif not 0 <= bess.soc_kwh <= bess.capacity_kwh:
             fail("bess.soc_kwh", f"must be in [0, capacity_kwh], got {bess.soc_kwh!r}")

@@ -18,14 +18,15 @@ A scenario is one YAML document with four sections:
 
 Parsing is total: malformed input of any shape produces a SchemaError
 listing every problem with its config path, never a crash. The schema
-stage reads types, shapes and finiteness here, and checks run values
-through ``engine.check_run_values`` on the RunConfig built from the
-document. Once it is clean, node references (DanglingReference:
-``engine.check_run_references`` and the fog-link endpoints) and then the
-topology (InvalidTopology) are checked. Node values (id, area, service
-rate, spec) belong to the topology stage: ``topology.validate_topology``
-states their ranges, and its spec sign rule also covers each tier default
-of ``models.power_specs``.
+stage reads types and shapes here, and checks ``models.c_ms`` and, through
+``engine.check_run_values`` on the RunConfig built from the document, the
+run values. Once it is clean, the workload's node references
+(DanglingReference: ``engine.check_run_references``) and then the topology
+(InvalidTopology) are checked. Node values (id, area, service rate, spec)
+and fog links belong to the topology stage: ``topology.validate_topology``
+states their rules, a fog link to an undefined node among them, and its
+spec rule, ``topology.spec_violations``, also covers each tier default of
+``models.power_specs``.
 
 Documents are composed by PyYAML's libyaml-backed ``CSafeLoader`` when the
 installed PyYAML was built with libyaml, and by the pure-Python
@@ -48,7 +49,10 @@ earlier state is restored afterwards.
 
 YAML 1.1 quirk worth knowing: ``1e6`` reads as a string, not a float.
 Write ``1000000`` or ``1.0e+6``. Numbers must be finite: ``.inf`` and
-``.nan`` are rejected wherever a number is expected.
+``.nan`` are rejected wherever a number is expected, by the rule that owns
+the value (an integer beyond the float range, where a float is expected,
+reads as the infinity of its sign): a run, model or workload value as a
+SchemaError, a node's service rate or spec as an InvalidTopology line.
 """
 
 from __future__ import annotations
@@ -70,6 +74,8 @@ from .energy import BessState
 from .errors import ConfigError
 from .messages import DEFAULT_CLASSIFICATION, METER_READING, DataClass
 from .topology import (
+    FLOAT_MAX,
+    SPEC_FIELDS,
     DeviceRole,
     DeviceSpec,
     InvalidTopology,
@@ -80,7 +86,7 @@ from .topology import (
     default_device_spec,
     default_fog_spec,
     make_topology,
-    spec_sign_violations,
+    spec_violations,
     validate_topology,
 )
 
@@ -90,9 +96,9 @@ class SchemaError(ConfigError):
 
 
 class DanglingReference(ConfigError):
-    """A workload entry or fog link references a node id the topology does
-    not define, or defines with an unusable tier (a fog node may not start
-    private data)."""
+    """A workload entry references a node id the topology does not define,
+    or defines with an unusable tier (a fog node may not start private
+    data). A fog link's endpoints are topology rules (InvalidTopology)."""
 
 
 _TIERS = {t.name.lower(): t for t in Tier}
@@ -127,8 +133,6 @@ _MAP_TAG = "tag:yaml.org,2002:map"
 _SEQ_TAG = "tag:yaml.org,2002:seq"
 #: Key tags whose mappings PyYAML rewrites before building them.
 _SPECIAL_KEY_TAGS = ("tag:yaml.org,2002:merge", "tag:yaml.org,2002:value")
-
-_SPEC_KEYS = ("cpu_mhz", "cores", "memory_mb", "power_active_mw", "power_idle_mw")
 
 #: Fraction of the horizon discarded as warmup when warmup_s is omitted.
 DEFAULT_WARMUP_FRACTION = 0.01
@@ -224,13 +228,9 @@ class _Reader:
             self.fail(f"{path}.{key}", f"expected a number, got {v!r}")
             return default
         try:
-            v = float(v)
-        except OverflowError:  # an integer beyond the float range
-            v = math.inf
-        if not math.isfinite(v):
-            self.fail(f"{path}.{key}", f"must be finite, got {v}")
-            return default
-        return v
+            return float(v)
+        except OverflowError:  # an int beyond the float range; its owner rejects it
+            return math.inf if v > 0 else -math.inf
 
     def str_field(self, m, key, path, required=True, default="") -> str:
         v = self._get(m, key, path, required, default)
@@ -260,7 +260,7 @@ class _Reader:
 def _read_spec(r: _Reader, raw: Any, path: str, base: DeviceSpec) -> DeviceSpec:
     """Partial spec mapping merged over ``base``."""
     m = r.mapping(raw, path)
-    r.known_keys(m, path, _SPEC_KEYS)
+    r.known_keys(m, path, SPEC_FIELDS)
     return DeviceSpec(
         cpu_mhz=r.int_field(m, "cpu_mhz", path, False, base.cpu_mhz),
         cores=r.int_field(m, "cores", path, False, base.cores),
@@ -454,8 +454,8 @@ def _build(doc: Any) -> ScenarioConfig:
                 r, power_specs[name], f"models.power_specs.{name}", tier_specs[tier]
             )
     c_ms = r.float_field(models, "c_ms", "models", False, 1.0)
-    if c_ms <= 0:
-        r.fail("models.c_ms", f"must be > 0.0, got {c_ms}")
+    if not 0 < c_ms <= FLOAT_MAX:
+        r.fail("models.c_ms", f"must be finite and positive, got {c_ms!r}")
     bess = None
     if "bess" in models and models["bess"] is not None:
         bm = r.mapping(models["bess"], "models.bess")
@@ -597,20 +597,13 @@ def _build(doc: Any) -> ScenarioConfig:
 
     # -- reference stage ---------------------------------------------------
     dangling = _relabel(check_run_references(run_config), _YAML_PATHS)
-    for i, (a, b) in enumerate(links):
-        for end in (a, b):
-            if end not in by_id:
-                dangling.append(
-                    f"topology.fog_links[{i}]: node {end} is not defined"
-                )
     if dangling:
         raise DanglingReference(dangling)
 
     # -- topology stage ------------------------------------------------------
     violations = validate_topology(topology)
     for name in power_specs:  # also the tier defaults no node inherits
-        spec = tier_specs[_TIERS[name]]
-        violations += spec_sign_violations(spec, f"models.power_specs.{name}")
+        violations += spec_violations(tier_specs[_TIERS[name]], f"models.power_specs.{name}")
     if violations:
         raise InvalidTopology(violations)
     return ScenarioConfig(

@@ -10,7 +10,7 @@ violations as data rather than raising.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 from functools import cached_property
@@ -20,6 +20,12 @@ from .errors import FogGridError
 
 NodeId = int
 FogAreaId = int
+
+#: The largest finite float. Each value rule states finiteness as a range,
+#: such as ``0 < x <= FLOAT_MAX``: Python compares an int with a float
+#: exactly, so the range rejects nan, the infinities and every int beyond
+#: the float range, and never raises.
+FLOAT_MAX = sys.float_info.max
 
 
 class InvalidTopology(FogGridError):
@@ -237,44 +243,37 @@ class Violation:
         return f"{self.code}: {self.detail}"
 
 
-def spec_sign_violations(spec: DeviceSpec, owner: str) -> list[Violation]:
-    """The spec sign rule for ``spec``, which ``owner`` names in each
-    violation: power_idle_mw must be >= 0, every other field positive."""
-    report = [
-        Violation("spec sign", f"{owner}: {name} must be positive")
-        for name in ("cpu_mhz", "cores", "memory_mb", "power_active_mw")
-        if getattr(spec, name) <= 0
-    ]
+#: The fields of a DeviceSpec, which are also its YAML keys.
+SPEC_FIELDS = ("cpu_mhz", "cores", "memory_mb", "power_active_mw", "power_idle_mw")
+
+
+def spec_violations(spec: DeviceSpec, owner: str) -> list[Violation]:
+    """The spec rules for ``spec``, which ``owner`` names in each
+    violation, in this order: every field is finite; power_idle_mw is
+    >= 0 and every other field positive; power_idle_mw is at most
+    power_active_mw."""
+    report = []
+    for name in SPEC_FIELDS:
+        value = getattr(spec, name)
+        if not -FLOAT_MAX <= value <= FLOAT_MAX:
+            # An int is out of this range only beyond the float range.
+            beyond = isinstance(value, int)
+            detail = f"{name} is beyond the float range" if beyond else f"{name}={value!r}"
+            report.append(Violation("spec non-finite", f"{owner}: {detail}"))
+    for name in SPEC_FIELDS[:-1]:
+        if getattr(spec, name) <= 0:
+            report.append(Violation("spec sign", f"{owner}: {name} must be positive"))
     if spec.power_idle_mw < 0:
         report.append(Violation("spec sign", f"{owner}: power_idle_mw must be >= 0"))
-    return report
-
-
-def _check_spec(node: Node, report: list[Violation]) -> None:
-    s = node.spec
-    numeric = {
-        "cpu_mhz": s.cpu_mhz,
-        "cores": s.cores,
-        "memory_mb": s.memory_mb,
-        "power_active_mw": s.power_active_mw,
-        "power_idle_mw": s.power_idle_mw,
-    }
-    for name, value in numeric.items():
-        try:
-            detail = None if math.isfinite(value) else f"{name}={value!r}"
-        except OverflowError:  # an int too large for a float
-            detail = f"{name} is beyond the float range"
-        if detail is not None:
-            report.append(Violation("spec non-finite", f"node {node.id}: {detail}"))
-    report.extend(spec_sign_violations(s, f"node {node.id}"))
-    if s.power_idle_mw > s.power_active_mw:
+    if spec.power_idle_mw > spec.power_active_mw:
         report.append(
             Violation(
                 "spec power order",
-                f"node {node.id}: power_idle_mw {s.power_idle_mw} exceeds "
-                f"power_active_mw {s.power_active_mw}",
+                f"{owner}: power_idle_mw {spec.power_idle_mw} exceeds "
+                f"power_active_mw {spec.power_active_mw}",
             )
         )
+    return report
 
 
 def validate_topology(t: Topology) -> list[Violation]:
@@ -343,7 +342,7 @@ def _mode_free_report(t: Topology) -> tuple[tuple[Violation, ...], ...]:
                     "missing area", f"{n.tier.name.lower()} node {n.id} has no area"
                 )
             )
-        if not (n.service_rate_per_s > 0) or not math.isfinite(n.service_rate_per_s):
+        if not 0 < n.service_rate_per_s <= FLOAT_MAX:
             report.append(
                 Violation(
                     "service rate",
@@ -351,7 +350,7 @@ def _mode_free_report(t: Topology) -> tuple[tuple[Violation, ...], ...]:
                     f"finite, got {n.service_rate_per_s!r}",
                 )
             )
-        _check_spec(n, report)
+        report.extend(spec_violations(n.spec, f"node {n.id}"))
 
     fog_by_area: dict[FogAreaId, list[NodeId]] = {}
     for n in t.nodes:

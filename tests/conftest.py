@@ -12,6 +12,7 @@ from collections import deque
 from typing import Optional
 
 import numpy as np
+import yaml
 
 from foggrid import (
     DeviceRole,
@@ -31,6 +32,19 @@ CLOUD_ID = 0
 FINITE_FIELDS = ("horizon_s", "warmup_s", "rate_per_s")
 #: YAML spellings of the IEEE non-finite values.
 NONFINITE_YAML = (".inf", "-.inf", ".nan")
+#: The line of the rule that rejects each FINITE_FIELDS field.
+_NONFINITE_LINES = {
+    "horizon_s": "run.horizon_s: must be finite and positive, got {!r}",
+    "warmup_s": "run.warmup_s: must satisfy 0 <= warmup_s < horizon_s, got {!r}",
+    "rate_per_s": "workload.arrival_processes[0].rate_per_s: "
+    "must be finite and nonnegative, got {!r}",
+}
+
+
+def nonfinite_line(field: str, value: str) -> str:
+    """The one problem line of ``finite_field_scenario(field, value)``,
+    for a YAML scalar ``value`` that reads as a non-finite float."""
+    return _NONFINITE_LINES[field].format(float(yaml.safe_load(value)))
 
 
 def finite_field_scenario(field: str = "", value: str = "") -> str:

@@ -1,6 +1,7 @@
 """Deterministic discrete-event engine: determinism, queue statistics,
 trace structure, session protocol, and energy sourcing."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -590,6 +591,16 @@ class TestEnergySourcing:
         assert res.bess_final.soc_kwh == 2.0
 
 
+@pytest.fixture
+def no_engine(monkeypatch):
+    """Fail any test that gets as far as building an engine."""
+
+    def refuse(cfg):
+        raise AssertionError("the engine was built for a rejected config")
+
+    monkeypatch.setattr(engine, "_Engine", refuse)
+
+
 class TestConfigValidation:
     def test_invalid_topology_rejected(self):
         topo = make_topology([fog_node(1, area=0), device_node(2, area=0)])
@@ -610,15 +621,6 @@ class TestConfigValidation:
     def test_negative_hop_delay(self):
         with pytest.raises(ValueError):
             foggrid.run(one_area_config(hop_delay_s=-0.5))
-
-    @pytest.fixture
-    def no_engine(self, monkeypatch):
-        """Fail any test that gets as far as building an engine."""
-
-        def refuse(cfg):
-            raise AssertionError("the engine was built for a rejected config")
-
-        monkeypatch.setattr(engine, "_Engine", refuse)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -773,3 +775,77 @@ class TestConfigValidation:
         assert exc.value.problems == [
             "sessions[0].energy_kwh: must be finite and nonnegative, got -1.0"
         ]
+
+
+#: Numbers no value rule admits: nan, the infinities, and ints beyond the
+#: float range (an int is compared exactly, never converted).
+BEYOND_FLOATS = [float("nan"), float("inf"), float("-inf"), 10**400, -(10**400)]
+
+#: (record, field, path) of every float field of a run config, with the
+#: path its line starts with; node fields are owned by validate_topology.
+FLOAT_FIELDS = [
+    ("RunConfig", "horizon_s", "horizon_s"),
+    ("RunConfig", "warmup_s", "warmup_s"),
+    ("RunConfig", "tariff_per_kwh", "tariff_per_kwh"),
+    ("RunConfig", "hop_delay_s", "hop_delay_s"),
+    ("ArrivalProcess", "rate_per_s", "arrival_processes[0].rate_per_s"),
+    ("SessionPlan", "start_s", "sessions[0].start_s"),
+    ("SessionPlan", "energy_kwh", "sessions[0].energy_kwh"),
+    ("SessionPlan", "duration_s", "sessions[0].duration_s"),
+    ("BessState", "capacity_kwh", "bess.capacity_kwh"),
+    ("BessState", "soc_kwh", "bess.soc_kwh"),
+    ("BessState", "efficiency", "bess.efficiency"),
+    ("BessChargeEntry", "at_s", "bess_charge_schedule[0].at_s"),
+    ("BessChargeEntry", "energy_kwh", "bess_charge_schedule[0].energy_kwh"),
+    ("Node", "service_rate_per_s", "service rate: node 1"),
+    ("DeviceSpec", "power_active_mw", "spec non-finite: node 1"),
+    ("DeviceSpec", "power_idle_mw", "spec non-finite: node 1"),
+]
+
+
+def config_with(record: str = "", name: str = "", value=None) -> RunConfig:
+    """A valid config with a battery, a top-up and a session; the one
+    ``record`` of that class name, if given, holds ``value`` in ``name``."""
+
+    def put(obj):
+        return dataclasses.replace(obj, **{name: value}) if type(obj).__name__ == record else obj
+
+    fog = put(fog_node(1, area=0))
+    fog = dataclasses.replace(fog, spec=put(fog.spec))
+    proc = ArrivalProcess(rate_per_s=0.1, target=2, payload_kind=GRID_TELEMETRY, size_bytes=64)
+    return put(
+        RunConfig(
+            seed=0,
+            horizon_s=1000.0,
+            warmup_s=10.0,
+            topology=make_topology([cloud_node(), fog, device_node(2, area=0)]),
+            arrival_processes=(put(proc),),
+            sessions=(put(SessionPlan("ev", 2, 10.0, 1.0, 60.0)),),
+            bess=put(BessState(capacity_kwh=10.0, soc_kwh=5.0, efficiency=0.9)),
+            bess_charge_schedule=(put(BessChargeEntry(at_s=10.0, energy_kwh=1.0)),),
+        )
+    )
+
+
+class TestNumbersOfAnySize:
+    def test_the_base_config_is_valid(self):
+        cfg = config_with()
+        assert foggrid.validate_topology(cfg.topology) == []
+        assert engine.check_run_config(cfg) == []
+
+    @pytest.mark.parametrize("value", BEYOND_FLOATS, ids=["nan", "inf", "-inf", "1e400", "-1e400"])
+    @pytest.mark.parametrize("record, name, path", FLOAT_FIELDS, ids=lambda v: v)
+    def test_typed_error_names_the_field(self, record, name, path, value, no_engine):
+        with pytest.raises((InvalidRunConfig, InvalidTopology)) as exc:
+            foggrid.run(config_with(record, name, value))
+        if record == "Node":
+            assert [str(v) for v in exc.value.violations] == [
+                f"{path}: {name} must be positive and finite, got {value!r}"
+            ]
+        elif record == "DeviceSpec":
+            beyond = isinstance(value, int)
+            detail = f"{name} is beyond the float range" if beyond else f"{name}={value!r}"
+            assert str(exc.value.violations[0]) == f"{path}: {detail}"
+        else:
+            [line] = exc.value.problems
+            assert line.startswith(f"{path}: ") and line.endswith(f", got {value!r}")

@@ -21,6 +21,7 @@ from test_golden import SCENARIOS
 from foggrid import ConfigError, InvalidTopology, parse_config, validate_topology
 from foggrid.cli import EXIT_CONFIG, EXIT_OK, main
 from foggrid.engine import _Engine, check_run_config
+from foggrid.topology import FLOAT_MAX
 
 GOLDEN_DOCS = [yaml.safe_load(text) for text in SCENARIOS.values()]
 DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
@@ -31,7 +32,7 @@ VALUES = (
     st.none()
     | st.booleans()
     | st.integers(-2, 10)
-    | st.sampled_from([2**64, 10**400])
+    | st.sampled_from([2**64, 10**400, -(10**400)])
     | st.floats()
     | st.sampled_from(
         ["cloud", "fog", "device", "cloud-only", "MeterReading", "GridTelemetry", "ev-a", ""]
@@ -89,6 +90,7 @@ def test_mutated_scenarios_parse_or_are_rejected(scenario_path, golden, edits, d
         expected = EXIT_CONFIG
     else:
         assert check_run_config(sc.run_config) == []
+        assert 0 < sc.c_ms <= FLOAT_MAX
         assert validate_topology(sc.run_config.topology) == []
         # Set-up resolves every route and classifies every payload kind.
         engine = _Engine(sc.run_config)

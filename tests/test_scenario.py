@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from conftest import FINITE_FIELDS, NONFINITE_YAML, finite_field_scenario
+from conftest import FINITE_FIELDS, NONFINITE_YAML, finite_field_scenario, nonfinite_line
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import SCENARIOS as GOLDEN_SCENARIOS
@@ -274,12 +274,16 @@ class TestSchemaErrors:
             f"topology.nodes[0]: expected a non-empty mapping, got {value!r}"
         ]
 
-    def test_c_ms_must_be_positive(self, tmp_path):
+    @pytest.mark.parametrize(
+        "value, read",
+        [("0", "0.0"), ("-1.5", "-1.5"), (".inf", "inf"), (".nan", "nan"), ("1" + "0" * 400, "inf")],
+    )
+    def test_c_ms_must_be_positive(self, value, read, tmp_path):
         path = tmp_path / "scenario.yaml"
-        path.write_text(MINIMAL + "models: {c_ms: 0}\n", encoding="utf-8")
+        path.write_text(MINIMAL + f"models: {{c_ms: {value}}}\n", encoding="utf-8")
         with pytest.raises(SchemaError) as exc:
             load_config(path)
-        assert problems_of(exc) == ["models.c_ms: must be > 0.0, got 0.0"]
+        assert problems_of(exc) == [f"models.c_ms: must be finite and positive, got {read}"]
         assert main(["validate", str(path)]) == EXIT_CONFIG
 
     def test_boolean_is_not_a_number(self):
@@ -343,16 +347,18 @@ class TestFiniteNumbers:
     @pytest.mark.parametrize("value", NONFINITE_YAML)
     @pytest.mark.parametrize("field", FINITE_FIELDS)
     def test_nonfinite_rejected(self, field, value):
+        # Reported once, by the run rule that owns the field.
         with pytest.raises(SchemaError) as exc:
             parse_config(finite_field_scenario(field, value))
-        assert any(
-            f".{field}: must be finite" in p for p in problems_of(exc)
-        ), problems_of(exc)
+        assert problems_of(exc) == [nonfinite_line(field, value)]
 
-    def test_integer_beyond_float_range_rejected(self):
+    @pytest.mark.parametrize("sign", ["", "-"])
+    @pytest.mark.parametrize("field", FINITE_FIELDS)
+    def test_integer_beyond_float_range_rejected(self, field, sign):
+        # It reads as the infinity of its sign.
         with pytest.raises(SchemaError) as exc:
-            parse_config(finite_field_scenario("horizon_s", "1" + "0" * 400))
-        assert any("run.horizon_s: must be finite" in p for p in problems_of(exc))
+            parse_config(finite_field_scenario(field, sign + "1" + "0" * 400))
+        assert problems_of(exc) == [nonfinite_line(field, f"{sign}.inf")]
 
     def test_finite_values_accepted(self):
         rc = parse_config(finite_field_scenario()).run_config
@@ -690,19 +696,24 @@ class TestDanglingReferences:
             parse_config(text)
 
     def test_fog_link_endpoint(self):
+        # A topology rule, stated once by validate_topology.
         text = MINIMAL.replace(
             "topology:", "topology:\n  fog_links:\n    - [1, 7]"
         )
-        with pytest.raises(DanglingReference) as exc:
+        with pytest.raises(InvalidTopology) as exc:
             parse_config(text)
-        assert any("fog_links[0]" in p for p in problems_of(exc))
+        assert [str(v) for v in exc.value.violations] == [
+            "dangling link: fog link (1, 7) references unknown node 7"
+        ]
 
     def test_every_reference_line_in_order(self):
         # Pinned from the reference stage as it stood before the run rules
-        # moved to engine.check_run_config: the lines and their order.
-        text = MINIMAL.replace(
+        # moved to engine.check_run_config: the lines and their order. The
+        # fog link's endpoint is a topology rule, checked after this stage.
+        topology = MINIMAL.replace(
             "topology:", "topology:\n  fog_links:\n    - [1, 7]"
-        ) + textwrap.dedent(
+        )
+        text = topology + textwrap.dedent(
             """
             workload:
               arrival_processes:
@@ -724,7 +735,11 @@ class TestDanglingReferences:
             "workload.vehicle_registry.ev-fog.meter: node 1 is not a device-tier meter",
             "workload.vehicle_registry.ev-ghost.meter: node 42 is not defined",
             "workload.sessions[1].outlet_meter: node 0 is not a device-tier meter",
-            "topology.fog_links[0]: node 7 is not defined",
+        ]
+        with pytest.raises(InvalidTopology) as exc:
+            parse_config(topology)
+        assert [str(v) for v in exc.value.violations] == [
+            "dangling link: fog link (1, 7) references unknown node 7"
         ]
 
 
@@ -749,6 +764,23 @@ class TestTopologyStage:
                 tier="fog",
                 area=1,
                 service_rate_per_s=0,
+            ),
+            _node_case(
+                "rate-inf",
+                "service rate: node 2: service_rate_per_s must be positive and finite, got inf",
+                tier="fog",
+                area=1,
+                service_rate_per_s=float("inf"),
+            ),
+            _node_case(
+                "spec-inf",
+                "spec non-finite: node 2: power_active_mw=inf",
+                spec={"power_active_mw": float("inf")},
+            ),
+            _node_case(
+                "spec-nan",
+                "spec non-finite: node 2: power_idle_mw=nan",
+                spec={"power_idle_mw": float("nan")},
             ),
             *(
                 _node_case(name, f"spec sign: node 2: {name} must be positive", spec={name: 0})
@@ -776,24 +808,48 @@ class TestTopologyStage:
         assert line in [str(v) for v in exc.value.violations]
         assert main(["validate", str(path)]) == EXIT_CONFIG
 
-    def test_tier_spec_ranges_without_a_node_of_the_tier(self):
-        # The spec sign rule covers a tier default that no node inherits.
+    @pytest.mark.parametrize(
+        "spec, lines",
+        [
+            (
+                "{cores: 0, power_idle_mw: -1}",
+                [
+                    "spec sign: models.power_specs.fog: cores must be positive",
+                    "spec sign: models.power_specs.fog: power_idle_mw must be >= 0",
+                ],
+            ),
+            (
+                "{power_idle_mw: 300}",
+                [
+                    "spec power order: models.power_specs.fog: power_idle_mw 300.0 exceeds "
+                    "power_active_mw 199.0",
+                ],
+            ),
+            (
+                "{power_idle_mw: .inf}",
+                [
+                    "spec non-finite: models.power_specs.fog: power_idle_mw=inf",
+                    "spec power order: models.power_specs.fog: power_idle_mw inf exceeds "
+                    "power_active_mw 199.0",
+                ],
+            ),
+        ],
+    )
+    def test_tier_spec_ranges_without_a_node_of_the_tier(self, spec, lines):
+        # Every node spec rule covers a tier default that no node inherits.
         text = textwrap.dedent(
-            """
-            run: {horizon_s: 100.0}
+            f"""
+            run: {{horizon_s: 100.0}}
             topology:
               mode: cloud-only
-              nodes: [{id: 0, tier: cloud}, {id: 2, tier: device, area: 0}]
+              nodes: [{{id: 0, tier: cloud}}, {{id: 2, tier: device, area: 0}}]
             models:
-              power_specs: {fog: {cores: 0, power_idle_mw: -1}}
+              power_specs: {{fog: {spec}}}
             """
         )
         with pytest.raises(InvalidTopology) as exc:
             parse_config(text)
-        assert [str(v) for v in exc.value.violations] == [
-            "spec sign: models.power_specs.fog: cores must be positive",
-            "spec sign: models.power_specs.fog: power_idle_mw must be >= 0",
-        ]
+        assert [str(v) for v in exc.value.violations] == lines
 
     def test_missing_cloud(self):
         text = textwrap.dedent(
@@ -902,12 +958,12 @@ class TestValidationOnce:
         assert flipped.mode is mode
 
     def test_one_spec_check_per_node_per_compare(self, tmp_path, monkeypatch):
-        checked = []
-        check_spec = topology_module._check_spec
+        owners = []
+        spec_violations = topology_module.spec_violations
         monkeypatch.setattr(
             topology_module,
-            "_check_spec",
-            lambda node, report: checked.append(node.id) or check_spec(node, report),
+            "spec_violations",
+            lambda spec, owner: owners.append(owner) or spec_violations(spec, owner),
         )
         scenario_file = tmp_path / "scenario.yaml"
         scenario_file.write_text(GOLDEN_SCENARIOS["fog-roaming"], encoding="utf-8")
@@ -915,6 +971,7 @@ class TestValidationOnce:
             ["compare", str(scenario_file), "--horizon", "100", "--out", str(tmp_path / "out")]
         )
         assert code == EXIT_OK
+        checked = [int(owner.removeprefix("node ")) for owner in owners if owner.startswith("node ")]
         assert sorted(checked) == list(range(9))
 
 
