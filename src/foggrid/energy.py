@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import FogGridError
-from .topology import DeviceSpec, NodeId
+from .topology import FLOAT_MAX, DeviceSpec, NodeId
 
 
 class NegativeDuration(FogGridError):
@@ -73,10 +73,9 @@ def processing_time(m: ProcessingModel, n: int) -> float:
     just inside it."""
     if n < 1:
         raise NonpositiveN(f"data-set size must be >= 1, got {n!r}")
-    try:
-        return m.c_ms * n * math.log2(n)
-    except OverflowError:  # an int ``n`` too large for a float
+    if n > FLOAT_MAX:  # an int ``n`` too large for a float
         return math.inf
+    return m.c_ms * n * math.log2(n)
 
 
 @dataclass(frozen=True)

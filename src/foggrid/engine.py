@@ -882,8 +882,9 @@ def check_run_values(cfg: RunConfig) -> list[str]:
         kind, size = proc.payload_kind, proc.size_bytes
         if kind not in cfg.classification:
             fail(f"arrival_processes[{i}].payload_kind", f"{kind!r} has no classification entry")
-        if not size > 0:
-            fail(f"arrival_processes[{i}].size_bytes", f"must be positive, got {size!r}")
+        if not 0 < size <= FLOAT_MAX:
+            msg = f"must be positive and within the float range, got {size!r}"
+            fail(f"arrival_processes[{i}].size_bytes", msg)
     nonnegative("sessions", cfg.sessions, "start_s", "duration_s", "energy_kwh")
     return problems
 

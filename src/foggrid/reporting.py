@@ -90,7 +90,9 @@ class Comparison:
     delta_energy_mj: float
 
 
-def build_report(cfg: RunConfig, result: SimResult, c_ms: float = 1.0) -> RunReport:
+def build_report(
+    cfg: RunConfig, result: SimResult, c_ms: float = ProcessingModel.c_ms
+) -> RunReport:
     by_id = cfg.topology.by_id()
     rows = tuple(
         NodeRow(

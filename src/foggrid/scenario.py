@@ -48,9 +48,11 @@ YAML 1.1 quirk worth knowing: ``1e6`` reads as a string, not a float.
 Write ``1000000`` or ``1.0e+6``. Numbers must be finite: ``.inf`` and
 ``.nan`` are rejected wherever a number is expected, by the rule that owns
 the value (an integer beyond the float range reads as the infinity of its
-sign where a float is expected, and as itself in a spec): a run, model or
-workload value as a SchemaError, a node's service rate or spec as an
-InvalidTopology line.
+sign where a float is expected, and as itself where an integer is): a run,
+model or workload value as a SchemaError, a node's id, area, service rate
+or spec as an InvalidTopology line. A target, registry meter or outlet no
+node has is a DanglingReference. An omitted optional field takes the
+default of the model type that owns it (``RunConfig``, ``Node``, ...).
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from yaml.nodes import ScalarNode
 from .billing import MeterIdentity
 from .engine import ArrivalProcess, BessChargeEntry, RunConfig, SessionPlan
 from .engine import check_run_references, check_run_values
-from .energy import BessState
+from .energy import BessState, ProcessingModel
 from .errors import ConfigError
 from .messages import DEFAULT_CLASSIFICATION, METER_READING, DataClass
 from .topology import (
@@ -82,6 +84,7 @@ from .topology import (
     Mode,
     Node,
     Tier,
+    Topology,
     default_cloud_spec,
     default_device_spec,
     default_fog_spec,
@@ -164,7 +167,7 @@ class ScenarioConfig:
     """
 
     run_config: RunConfig
-    c_ms: float = 1.0
+    c_ms: float = ProcessingModel.c_ms
     warmup_explicit: bool = False
 
 
@@ -209,20 +212,11 @@ class _Reader:
             return default
         return m[key]
 
-    def any_int_field(self, m, key, path, required=True, default=0) -> int:
+    def int_field(self, m, key, path, required=True, default=0) -> int:
         """An integer of any size: its owner states its range."""
         v = self._get(m, key, path, required, default)
         if isinstance(v, bool) or not isinstance(v, int):
             self.fail(f"{path}.{key}", f"expected an integer, got {v!r}")
-            return default
-        return v
-
-    def int_field(self, m, key, path, required=True, default=0) -> int:
-        v = self.any_int_field(m, key, path, required, default)
-        try:
-            float(v)  # counts and sizes meet float arithmetic downstream
-        except OverflowError:
-            self.fail(f"{path}.{key}", "must be within the float range")
             return default
         return v
 
@@ -231,10 +225,9 @@ class _Reader:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             self.fail(f"{path}.{key}", f"expected a number, got {v!r}")
             return default
-        try:
+        if isinstance(v, float) or -FLOAT_MAX <= v <= FLOAT_MAX:
             return float(v)
-        except OverflowError:  # an int beyond the float range; its owner rejects it
-            return math.inf if v > 0 else -math.inf
+        return math.inf if v > 0 else -math.inf  # too large for a float; its owner rejects it
 
     def str_field(self, m, key, path, required=True, default="") -> str:
         v = self._get(m, key, path, required, default)
@@ -266,7 +259,7 @@ def _read_spec(r: _Reader, raw: Any, path: str, base: DeviceSpec) -> DeviceSpec:
     m = r.mapping(raw, path)
     r.known_keys(m, path, SPEC_FIELDS)
     return DeviceSpec(  # SPEC_FIELDS: three counts, then two powers
-        **{f: r.any_int_field(m, f, path, False, getattr(base, f)) for f in SPEC_FIELDS[:3]},
+        **{f: r.int_field(m, f, path, False, getattr(base, f)) for f in SPEC_FIELDS[:3]},
         **{f: r.float_field(m, f, path, False, getattr(base, f)) for f in SPEC_FIELDS[3:]},
     )
 
@@ -286,7 +279,7 @@ def _read_node(r: _Reader, m: Any, path: str, tier_specs) -> Optional[Node]:
     area = None
     if "area" in m and m["area"] is not None:
         area = r.int_field(m, "area", path)
-    rate = r.float_field(m, "service_rate_per_s", path, False, 1.0)
+    rate = r.float_field(m, "service_rate_per_s", path, False, Node.service_rate_per_s)
     spec = tier_specs[tier]
     if "spec" in m and m["spec"] is not None:
         spec = _read_spec(r, m["spec"], f"{path}.spec", spec)
@@ -477,7 +470,7 @@ def _build(doc: Any) -> ScenarioConfig:
             tier_specs[tier] = _read_spec(
                 r, power_specs[name], f"models.power_specs.{name}", tier_specs[tier]
             )
-    c_ms = r.float_field(models, "c_ms", "models", False, 1.0)
+    c_ms = r.float_field(models, "c_ms", "models", False, ProcessingModel.c_ms)
     if not 0 < c_ms <= FLOAT_MAX:
         r.fail("models.c_ms", f"must be finite and positive, got {c_ms!r}")
     bess = None
@@ -487,7 +480,7 @@ def _build(doc: Any) -> ScenarioConfig:
         bess = BessState(
             capacity_kwh=r.float_field(bm, "capacity_kwh", "models.bess", True, 1.0),
             soc_kwh=r.float_field(bm, "soc_kwh", "models.bess", False, 0.0),
-            efficiency=r.float_field(bm, "efficiency", "models.bess", False, 1.0),
+            efficiency=r.float_field(bm, "efficiency", "models.bess", False, BessState.efficiency),
         )
     schedule = []
     for i, raw in enumerate(
@@ -502,16 +495,16 @@ def _build(doc: Any) -> ScenarioConfig:
                 energy_kwh=r.float_field(em, "energy_kwh", path, True, 0.0),
             )
         )
-    tariff = r.float_field(models, "tariff_per_kwh", "models", False, 0.2)
-    grid_available = r.bool_field(models, "grid_available", "models", False, True)
-    hop_delay = r.float_field(models, "hop_delay_s", "models", False, 0.0)
+    tariff = r.float_field(models, "tariff_per_kwh", "models", False, RunConfig.tariff_per_kwh)
+    grid = r.bool_field(models, "grid_available", "models", False, RunConfig.grid_available)
+    hop_delay = r.float_field(models, "hop_delay_s", "models", False, RunConfig.hop_delay_s)
 
     # -- topology section -------------------------------------------------
     topo_m = r.mapping(root.get("topology"), "topology")
     if "topology" not in root:
         r.fail("topology", "required section is missing")
     r.known_keys(topo_m, "topology", ("mode", "nodes", "fog_links"))
-    mode = r.choice(topo_m, "mode", "topology", _MODES, False, Mode.FOG_AUGMENTED)
+    mode = r.choice(topo_m, "mode", "topology", _MODES, False, Topology.mode)
     nodes = []
     for i, raw in enumerate(r.sequence(topo_m.get("nodes"), "topology.nodes")):
         node = _read_node(r, raw, f"topology.nodes[{i}]", tier_specs)
@@ -594,7 +587,7 @@ def _build(doc: Any) -> ScenarioConfig:
                 outlet_meter=r.int_field(sm, "outlet_meter", path),
                 start_s=r.float_field(sm, "start_s", path, True, 0.0),
                 energy_kwh=r.float_field(sm, "energy_kwh", path, True, 0.0),
-                duration_s=r.float_field(sm, "duration_s", path, False, 0.0),
+                duration_s=r.float_field(sm, "duration_s", path, False, SessionPlan.duration_s),
             )
         )
 
@@ -610,7 +603,7 @@ def _build(doc: Any) -> ScenarioConfig:
         tariff_per_kwh=tariff,
         bess=bess,
         bess_charge_schedule=tuple(schedule),
-        grid_available=grid_available,
+        grid_available=grid,
         hop_delay_s=hop_delay,
     )
     # Each placeholder passes check_run_values, so a field's type problem

@@ -224,7 +224,7 @@ class Topology:
 def make_topology(
     nodes,
     fog_links=(),
-    mode: Mode = Mode.FOG_AUGMENTED,
+    mode: Mode = Topology.mode,
 ) -> Topology:
     """Build a Topology from any iterables of nodes and of fog-link pairs.
     Its cloud_id is derived from the nodes, as for any Topology."""
@@ -302,8 +302,13 @@ def _mode_free_report(t: Topology) -> tuple[tuple[Violation, ...], ...]:
         seen.add(n.id)
         if n.id < 0:
             report.append(Violation("negative id", f"node id {n.id}"))
+        elif n.id > FLOAT_MAX:
+            report.append(Violation("id range", f"node id {n.id} is beyond the float range"))
         if n.area is not None and n.area < 0:
             report.append(Violation("negative area", f"node {n.id} has area {n.area}"))
+        elif n.area is not None and n.area > FLOAT_MAX:
+            detail = f"node {n.id} has area {n.area} beyond the float range"
+            report.append(Violation("area range", detail))
 
     clouds = [n for n in t.nodes if n.tier is Tier.CLOUD]
     if len(clouds) != 1:

@@ -102,22 +102,40 @@ class TestValidate:
                 "size_bytes: 64",
                 "size_bytes: N",
                 "SchemaError: workload.arrival_processes[0].size_bytes: "
-                "must be within the float range",
+                "must be positive and within the float range, got N",
+            ),
+            (
+                "seed: 5",
+                "seed: N",
+                "SchemaError: run.seed: must be an integer in [0, 2**64), got N",
+            ),
+            (
+                "{id: 1,",
+                "{id: N,",
+                "InvalidTopology: id range: node id N is beyond the float range",
+            ),
+            (
+                "{id: 1, tier: fog, area: 0",
+                "{id: 1, tier: fog, area: N",
+                "InvalidTopology: area range: node 1 has area N beyond the float range\n"
+                "InvalidTopology: orphan area: device 2 is in area 0, which has no fog node",
             ),
         ],
-        ids=["spec", "size"],
+        ids=["spec", "size", "seed", "id", "area"],
     )
     def test_integer_beyond_float_range_is_config_error(
         self, old, new, line, tmp_path, capsys
     ):
-        # Both once ended in an OverflowError traceback: the spec field in
-        # the topology check, the message size in the processing model.
-        # The spec rule is the topology's, as for a spec built in code.
+        # The spec field and the message size once ended in an
+        # OverflowError traceback: the spec field in the topology check,
+        # the message size in the processing model. Each range is its
+        # owner's rule, as for a config built in code.
+        big = "1" + "0" * 400
         bad = tmp_path / "bad.yaml"
-        bad.write_text(SCENARIO.replace(old, new.replace("N", "1" + "0" * 400)))
+        bad.write_text(SCENARIO.replace(old, new.replace("N", big)))
         for command in ("validate", "run"):
             assert main([command, str(bad)]) == EXIT_CONFIG
-            assert capsys.readouterr().err.splitlines() == [line]
+            assert capsys.readouterr().err.splitlines() == line.replace("N", big).splitlines()
 
     def test_dangling_reference(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

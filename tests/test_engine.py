@@ -802,6 +802,31 @@ FLOAT_FIELDS = [
     ("DeviceSpec", "power_idle_mw", "spec non-finite: node 1"),
 ]
 
+#: (record, field) of every integer of a run config that is not a node
+#: reference; a node id nothing defines is a reference line instead.
+INT_FIELDS = [
+    ("RunConfig", "seed"),
+    ("ArrivalProcess", "size_bytes"),
+    ("Node", "id"),
+    ("Node", "area"),
+]
+
+
+def int_line(name: str, value: int) -> str:
+    """The first line of ``config_with`` holding ``value`` in the INT_FIELDS
+    field ``name``: its owner's, check_run_values or validate_topology."""
+    return {
+        "seed": f"seed: must be an integer in [0, 2**64), got {value!r}",
+        "size_bytes": "arrival_processes[0].size_bytes: "
+        f"must be positive and within the float range, got {value!r}",
+        "id": f"negative id: node id {value}"
+        if value < 0
+        else f"id range: node id {value} is beyond the float range",
+        "area": f"negative area: node 1 has area {value}"
+        if value < 0
+        else f"area range: node 1 has area {value} beyond the float range",
+    }[name]
+
 
 def config_with(record: str = "", name: str = "", value=None) -> RunConfig:
     """A valid config with a battery, a top-up and a session; the one
@@ -849,3 +874,13 @@ class TestNumbersOfAnySize:
         else:
             [line] = exc.value.problems
             assert line.startswith(f"{path}: ") and line.endswith(f", got {value!r}")
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+    @pytest.mark.parametrize("record, name", INT_FIELDS, ids=lambda v: v)
+    def test_integer_rejected_by_its_owner(self, record, name, value, no_engine):
+        # An integer has no float-range rule of its own: the rule that
+        # owns the value states its range.
+        with pytest.raises((InvalidRunConfig, InvalidTopology)) as exc:
+            foggrid.run(config_with(record, name, value))
+        lines = getattr(exc.value, "problems", None) or [str(v) for v in exc.value.violations]
+        assert lines[0] == int_line(name, value)

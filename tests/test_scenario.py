@@ -24,12 +24,14 @@ from foggrid import (
     DanglingReference,
     DataClass,
     DeviceRole,
+    InvalidRunConfig,
     InvalidTopology,
     Mode,
     SchemaError,
     Tier,
     load_config,
     parse_config,
+    run,
     with_mode,
     with_overrides,
 )
@@ -797,12 +799,20 @@ class TestDanglingReferences:
         ]
 
 
+def _with_node(rc, node_id, **fields):
+    """``rc`` with the fields of node ``node_id`` replaced."""
+    nodes = [replace(n, **fields) if n.id == node_id else n for n in rc.topology.nodes]
+    return replace(rc, topology=topology_module.make_topology(nodes, (), rc.topology.mode))
+
+
 def _node_case(name, line, tier="device", area=0, **fields):
     node = {"id": 2, "tier": tier, "area": area, **fields}
     return pytest.param(node, line, id=name)
 
 
 _CLOUD_AND_FOG = [{"id": 0, "tier": "cloud"}, {"id": 1, "tier": "fog", "area": 0}]
+#: An integer beyond the float range.
+BIG = 10**400
 
 
 class TestTopologyStage:
@@ -810,7 +820,15 @@ class TestTopologyStage:
         "node, line",
         [
             _node_case("id", "negative id: node id -1", id=-1),
+            _node_case(
+                "id-beyond", f"id range: node id {BIG} is beyond the float range", id=BIG
+            ),
             _node_case("device-area", "negative area: node 2 has area -1", area=-1),
+            _node_case(
+                "area-beyond",
+                f"area range: node 2 has area {BIG} beyond the float range",
+                area=BIG,
+            ),
             _node_case("fog-area", "negative area: node 2 has area -1", tier="fog", area=-1),
             _node_case(
                 "rate",
@@ -925,6 +943,46 @@ class TestTopologyStage:
         assert "spec non-finite: node 2: cores is beyond the float range" in lines
         beyond = "spec non-finite: models.power_specs.fog: memory_mb is beyond the float range"
         assert beyond in lines
+
+    @pytest.mark.parametrize("value", [BIG, -BIG], ids=["1e400", "-1e400"])
+    @pytest.mark.parametrize(
+        "old, new, api",
+        [
+            ("seed: 5", "seed: N", lambda rc, v: replace(rc, seed=v)),
+            (
+                "size_bytes: 64",
+                "size_bytes: N",
+                lambda rc, v: replace(
+                    rc, arrival_processes=(replace(rc.arrival_processes[0], size_bytes=v),)
+                ),
+            ),
+            ("{id: 1,", "{id: N,", lambda rc, v: _with_node(rc, 1, id=v)),
+            (
+                "{id: 2, tier: device, area: 0",
+                "{id: 2, tier: device, area: N",
+                lambda rc, v: _with_node(rc, 2, area=v),
+            ),
+        ],
+        ids=["seed", "size_bytes", "id", "area"],
+    )
+    def test_integer_beyond_float_range_as_through_the_api(self, old, new, api, value):
+        # The schema reads integers for type only: a YAML document and the
+        # same config built in code are rejected by the same owner, with
+        # the same lines (a run line under its YAML path).
+        text = GOLDEN_SCENARIOS["single-queue"]
+        assert old in text
+        with pytest.raises((SchemaError, InvalidTopology)) as exc:
+            parse_config(text.replace(old, new.replace("N", str(value))))
+        rc = api(parse_config(text).run_config, value)
+        with pytest.raises((InvalidRunConfig, InvalidTopology)) as api_exc:
+            run(rc)
+        if isinstance(exc.value, InvalidTopology):
+            assert type(api_exc.value) is InvalidTopology
+            assert exc.value.violations == api_exc.value.violations
+        else:
+            assert type(api_exc.value) is InvalidRunConfig
+            prefix = "run." if "seed" in old else "workload."
+            assert exc.value.problems == [prefix + line for line in api_exc.value.problems]
 
     def test_missing_cloud(self):
         text = textwrap.dedent(
