@@ -47,7 +47,7 @@ route reversed, so a session resolves one route.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
@@ -72,7 +72,7 @@ from .energy import (
     bess_discharge,
     mode_transition,
 )
-from .errors import FogGridError
+from .errors import FogGridError, shown
 from .messages import (
     DEFAULT_CLASSIFICATION,
     DataClass,
@@ -268,9 +268,9 @@ class _NodeState:
         self.samples = 0
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64
-# seeding (pcg64.h), restated so that _pcg64_states runs them over every
-# key of a run at once.
+# The key-word half of numpy's SeedSequence hash
+# (numpy/random/bit_generator.pyx) and PCG64 seeding (pcg64.h), restated so
+# that _pcg64_states runs them over every key of a run at once.
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -296,14 +296,13 @@ def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
 # four for each later word (computed here for up to 16 of them).
 _POOL_STEPS = _POOL_SIZE * _POOL_SIZE
 _MIX_CONSTANTS = _hash_constants(_INIT_A, _MULT_A, _POOL_STEPS + _POOL_SIZE * 16)
-_SEED_STEPS = _MIX_CONSTANTS[:_POOL_STEPS].tolist()
 # Output steps: SeedSequence.generate_state(4, np.uint64) reads the pool
 # twice round for its eight words.
 _OUT_XOR, _OUT_MULT = _hash_constants(_INIT_B, _MULT_B, 8).T[:, :, None]
 
 
 def _hashmix(value, xor, mult):
-    """One SeedSequence hash step, on an int or on uint32 arrays."""
+    """One SeedSequence hash step, on uint32 arrays."""
     value = (value ^ xor) * mult & _MASK32
     return value ^ value >> 16
 
@@ -330,39 +329,31 @@ def _pcg64_states(seed: int, keys: Sequence[tuple[int, ...]]) -> list[tuple[int,
     spawn_key=key))`` for each of ``keys`` (nonempty tuples of nonnegative
     integers), in order, bit for bit, computed for all keys at once.
 
-    SeedSequence hashes the words of the seed, padded with zeros to its
-    pool of four words, and then the words of the key, one after another
-    into the pool. The seed's words come first, so its pool is computed
-    once. A later word's hash does not depend on the pool, and its
-    constants depend on its position only, so the keys are hashed as
-    uint32 columns, word by word; a key whose words have run out keeps its
-    pool. PCG64 then seeds itself from the pool's eight output words
+    SeedSequence hashes the words of the seed into its pool of four words,
+    and then the words of the key, one after another into the pool. The
+    seed's words come first, so the pool they leave is numpy's own
+    ``SeedSequence(seed).pool``, and the key words hash on from the step
+    after the seed's last. A key word's hash does not depend on the pool,
+    and its constants depend on its position only, so the keys are hashed
+    as uint32 columns, word by word; a key whose words have run out keeps
+    its pool. PCG64 then seeds itself from the pool's eight output words
     (pcg64_set_seed, srandom), in Python ints.
     """
     if not keys:
         return []
-    entropy = _words(seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    head, tail = entropy[:_POOL_SIZE], entropy[_POOL_SIZE:]
-    steps = iter(_SEED_STEPS)
-    pool = [_hashmix(w, *next(steps)) for w in head]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(steps)))
-
-    rows = [tail + [w for part in key for w in _words(part)] for key in keys]
+    rows = [[w for part in key for w in _words(part)] for key in keys]
     lengths = [len(row) for row in rows]
     longest = max(lengths)
-    n_steps = _POOL_STEPS + _POOL_SIZE * longest
+    first = _POOL_STEPS + _POOL_SIZE * max(len(_words(seed)) - _POOL_SIZE, 0)
+    n_steps = first + _POOL_SIZE * longest
     constants = _MIX_CONSTANTS
     if len(constants) < n_steps:
         constants = _hash_constants(_INIT_A, _MULT_A, n_steps)
     # (xor, mult) of word j into pool word d, each of shape (words, 4, 1).
-    later = constants[_POOL_STEPS:n_steps].reshape(longest, _POOL_SIZE, 2)
+    later = constants[first:n_steps].reshape(longest, _POOL_SIZE, 2)
     xor, mult = later.transpose(2, 0, 1)[..., None]
     words = np.array([row + [0] * (longest - len(row)) for row in rows], dtype=np.uint32)
-    mixer = np.array(pool, dtype=np.uint32)[:, None]
+    mixer = np.random.SeedSequence(seed).pool[:, None]
     shortest = min(lengths)
     for j, hashed in enumerate(_hashmix(words.T[:, None], xor, mult)):
         mixed = _mix(mixer, hashed)
@@ -436,12 +427,21 @@ class _Engine:
         # index among that target's processes. One generator draws them all.
         servers = [n for n in t.nodes if n.tier is not Tier.DEVICE]
         keys = [(_PURPOSE_SERVICE, n.id) for n in servers]
-        per_node_index: dict[NodeId, int] = {}
+        self.proc_size: list[int] = []
+        self.proc_route: list[tuple[NodeId, ...]] = []
+        rates = []
+        index_at = defaultdict(count)  # a target's next process index
         for proc in cfg.arrival_processes:
-            k = per_node_index.get(proc.target, 0)
-            per_node_index[proc.target] = k + 1
-            if proc.rate_per_s > 0:
-                keys.append((_PURPOSE_ARRIVAL, proc.target, k))
+            target, rate = proc.target, proc.rate_per_s
+            k = next(index_at[target])
+            if rate > 0:
+                keys.append((_PURPOSE_ARRIVAL, target, k))
+            rates.append(rate)
+            # A device's route climbs to the node serving it, which
+            # resolve_route would give too; a server's is itself.
+            serving = serving_node(self.by_id[target], t)
+            self.proc_route.append((target,) if serving == target else (target, serving))
+            self.proc_size.append(proc.size_bytes)
         states = iter(_pcg64_states(cfg.seed, keys))
         # Its own seed is never drawn from: each block sets a stream's state.
         self.rng = np.random.Generator(np.random.PCG64(0))
@@ -451,9 +451,13 @@ class _Engine:
             for n in servers
         }
         self.proc_stream: list[Optional[Iterator[float]]] = [
-            _exp_draws(self.rng, next(states), proc.rate_per_s) if proc.rate_per_s > 0 else None
-            for proc in cfg.arrival_processes
+            _exp_draws(self.rng, next(states), rate) if rate > 0 else None for rate in rates
         ]
+        # (data class, content) of a process, from its first recorded
+        # message on: its payload is classified, and sealed if private,
+        # only when a message of it is recorded, so the rule that a fog
+        # target may not hold keys is check_run_references's alone.
+        self.proc_content: dict[int, tuple[DataClass, Union[Payload, SealedEnvelope]]] = {}
         # Device-tier nodes only count messages handled.
         self.device_arrivals: dict[NodeId, int] = {
             n.id: 0 for n in t.nodes if n.tier is Tier.DEVICE
@@ -472,22 +476,6 @@ class _Engine:
     # -- setup --------------------------------------------------------
 
     def _setup_processes(self) -> None:
-        self.proc_size: list[int] = []
-        self.proc_route: list[tuple[NodeId, ...]] = []
-        # (data class, content) of a process, from its first recorded
-        # message on: its payload is classified, and sealed if private,
-        # only when a message of it is recorded, so the rule that a fog
-        # target may not hold keys is check_run_references's alone.
-        self.proc_content: dict[int, tuple[DataClass, Union[Payload, SealedEnvelope]]] = {}
-        for proc in self.cfg.arrival_processes:
-            # A device's route climbs to the node serving it, which
-            # resolve_route would give too; a server's is itself.
-            target = proc.target
-            serving = serving_node(self.by_id[target], self.topo)
-            hops = (target,) if serving == target else (target, serving)
-            self.proc_size.append(proc.size_bytes)
-            self.proc_route.append(hops)
-
         for idx, stream in enumerate(self.proc_stream):
             if stream is not None:
                 first = next(stream)
@@ -847,8 +835,8 @@ def check_run_values(cfg: RunConfig) -> list[str]:
     topology, one line each, starting with its RunConfig field path."""
     problems: list[str] = []
 
-    def fail(path: str, msg: str) -> None:
-        problems.append(f"{path}: {msg}")
+    def fail(path: str, rule: str, value) -> None:
+        problems.append(f"{path}: {rule}, got {shown(value)}")
 
     # Takes the path of a list of records and the names of their fields.
     def nonnegative(path: str, records, *fields: str) -> None:
@@ -856,35 +844,36 @@ def check_run_values(cfg: RunConfig) -> list[str]:
             for name in fields:
                 value = getattr(record, name)
                 if not 0 <= value <= FLOAT_MAX:
-                    fail(f"{path}[{i}].{name}", f"must be finite and nonnegative, got {value!r}")
+                    fail(f"{path}[{i}].{name}", "must be finite and nonnegative", value)
 
     seed, horizon, tariff, bess = cfg.seed, cfg.horizon_s, cfg.tariff_per_kwh, cfg.bess
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        fail("seed", f"must be an integer in [0, 2**64), got {seed!r}")
+        fail("seed", "must be an integer in [0, 2**64)", seed)
     if not 0 < horizon <= FLOAT_MAX:
-        fail("horizon_s", f"must be finite and positive, got {horizon!r}")
+        fail("horizon_s", "must be finite and positive", horizon)
     elif not 0 <= cfg.warmup_s < horizon:
-        fail("warmup_s", f"must satisfy 0 <= warmup_s < horizon_s, got {cfg.warmup_s!r}")
+        fail("warmup_s", "must satisfy 0 <= warmup_s < horizon_s", cfg.warmup_s)
     if not 0 <= cfg.hop_delay_s <= FLOAT_MAX:
-        fail("hop_delay_s", f"must be finite and nonnegative, got {cfg.hop_delay_s!r}")
+        fail("hop_delay_s", "must be finite and nonnegative", cfg.hop_delay_s)
     if not 0 < tariff <= FLOAT_MAX:
-        fail("tariff_per_kwh", f"must be finite and positive, got {tariff!r}")
+        fail("tariff_per_kwh", "must be finite and positive", tariff)
     if bess is not None:
         if not 0 < bess.capacity_kwh <= FLOAT_MAX:
-            fail("bess.capacity_kwh", f"must be finite and positive, got {bess.capacity_kwh!r}")
+            fail("bess.capacity_kwh", "must be finite and positive", bess.capacity_kwh)
         elif not 0 <= bess.soc_kwh <= bess.capacity_kwh:
-            fail("bess.soc_kwh", f"must be in [0, capacity_kwh], got {bess.soc_kwh!r}")
+            fail("bess.soc_kwh", "must be in [0, capacity_kwh]", bess.soc_kwh)
         if not 0 < bess.efficiency <= 1:
-            fail("bess.efficiency", f"must be in (0, 1], got {bess.efficiency!r}")
+            fail("bess.efficiency", "must be in (0, 1]", bess.efficiency)
     nonnegative("bess_charge_schedule", cfg.bess_charge_schedule, "at_s", "energy_kwh")
     nonnegative("arrival_processes", cfg.arrival_processes, "rate_per_s")
     for i, proc in enumerate(cfg.arrival_processes):
         kind, size = proc.payload_kind, proc.size_bytes
         if kind not in cfg.classification:
-            fail(f"arrival_processes[{i}].payload_kind", f"{kind!r} has no classification entry")
+            detail = f"{shown(kind)} has no classification entry"
+            problems.append(f"arrival_processes[{i}].payload_kind: {detail}")
         if not 0 < size <= FLOAT_MAX:
-            msg = f"must be positive and within the float range, got {size!r}"
-            fail(f"arrival_processes[{i}].size_bytes", msg)
+            rule = "must be positive and within the float range"
+            fail(f"arrival_processes[{i}].size_bytes", rule, size)
     nonnegative("sessions", cfg.sessions, "start_s", "duration_s", "energy_kwh")
     return problems
 
@@ -900,19 +889,23 @@ def check_run_references(cfg: RunConfig) -> list[str]:
         for key, node_id in meters:
             node = by_id.get(node_id)
             if node is None:
-                problems.append(f"{path.format(key)}: node {node_id} is not defined")
+                rule = "is not defined"
             elif node.tier is not Tier.DEVICE:
-                problems.append(f"{path.format(key)}: node {node_id} is not a device-tier meter")
+                rule = "is not a device-tier meter"
+            else:
+                continue
+            problems.append(f"{path.format(shown(key, str))}: node {shown(node_id)} {rule}")
 
     for i, proc in enumerate(cfg.arrival_processes):
         path, target, kind = f"arrival_processes[{i}].target", proc.target, proc.payload_kind
         node = by_id.get(target)
         if node is None:
-            problems.append(f"{path}: node {target} is not defined")
+            problems.append(f"{path}: node {shown(target)} is not defined")
         elif node.tier is Tier.FOG and cfg.classification.get(kind) is DataClass.PRIVATE:
             # Private data would be sealed for its target (messages.seal),
             # which the engine does only for recorded messages.
-            problems.append(f"{path}: fog node {target} may not hold keys for private {kind} data")
+            detail = f"may not hold keys for private {shown(kind, str)} data"
+            problems.append(f"{path}: fog node {shown(target)} {detail}")
     registry = cfg.vehicle_registry.items()
     device_meters("vehicle_registry.{}.meter", ((v, identity.meter) for v, identity in registry))
     device_meters("sessions[{}].outlet_meter", enumerate(p.outlet_meter for p in cfg.sessions))

@@ -19,3 +19,16 @@ class ConfigError(FogGridError):
     def __init__(self, problems):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
+
+
+def shown(value, text=repr) -> str:
+    """``text(value)`` for a problem line, except that an integer with more
+    digits than Python converts to text (``sys.get_int_max_str_digits``)
+    is shown by its size, as in ``an integer of 16,610 bits``."""
+    try:
+        return text(value)
+    except ValueError:
+        if isinstance(value, int):
+            sign = "a negative" if value < 0 else "an"
+            return f"{sign} integer of {abs(value).bit_length():,} bits"
+        return f"a {type(value).__name__} holding an integer too long to print"

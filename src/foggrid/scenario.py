@@ -41,8 +41,7 @@ non-scalar keys, collection tags such as ``!!set``, unknown tags, a second
 document and every error load the text afresh with ``yaml.load``, so
 PyYAML reports every error in its own order; a scalar its explicit tag's
 constructor cannot read (``!!bool maybe``) is invalid YAML, as an
-impossible date is. The cyclic garbage collector is paused while a
-document loads, and only then.
+impossible date is.
 
 YAML 1.1 quirk worth knowing: ``1e6`` reads as a string, not a float.
 Write ``1000000`` or ``1.0e+6``. Numbers must be finite: ``.inf`` and
@@ -57,7 +56,6 @@ default of the model type that owns it (``RunConfig``, ``Node``, ...).
 
 from __future__ import annotations
 
-import gc
 import inspect
 import math
 import re
@@ -73,7 +71,7 @@ from .billing import MeterIdentity
 from .engine import ArrivalProcess, BessChargeEntry, RunConfig, SessionPlan
 from .engine import check_run_references, check_run_values
 from .energy import BessState, ProcessingModel
-from .errors import ConfigError
+from .errors import ConfigError, shown
 from .messages import DEFAULT_CLASSIFICATION, METER_READING, DataClass
 from .topology import (
     FLOAT_MAX,
@@ -203,53 +201,62 @@ class _Reader:
     def known_keys(self, m: dict, path: str, allowed: tuple[str, ...]) -> None:
         for key in m:
             if key not in allowed:
-                self.fail(f"{path}.{key}", "unknown key")
+                self.fail(f"{path}.{shown(key, str)}", "unknown key")
 
-    def _get(self, m: dict, key: str, path: str, required: bool, default):
-        if key not in m or m[key] is None:
-            if required:
-                self.fail(f"{path}.{key}", "required field is missing")
-            return default
-        return m[key]
+    def _get(self, m: dict, key: str, path: str, required: bool):
+        """``m[key]``, or None if it is missing or null, which only a
+        required field reports; each accessor then returns its default."""
+        v = m.get(key)
+        if v is None and required:
+            self.fail(f"{path}.{key}", "required field is missing")
+        return v
 
     def int_field(self, m, key, path, required=True, default=0) -> int:
         """An integer of any size: its owner states its range."""
-        v = self._get(m, key, path, required, default)
+        v = self._get(m, key, path, required)
+        if v is None:
+            return default
         if isinstance(v, bool) or not isinstance(v, int):
-            self.fail(f"{path}.{key}", f"expected an integer, got {v!r}")
+            self.fail(f"{path}.{key}", f"expected an integer, got {shown(v)}")
             return default
         return v
 
     def float_field(self, m, key, path, required=True, default=0.0) -> float:
-        v = self._get(m, key, path, required, default)
+        v = self._get(m, key, path, required)
+        if v is None:
+            return default
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            self.fail(f"{path}.{key}", f"expected a number, got {v!r}")
+            self.fail(f"{path}.{key}", f"expected a number, got {shown(v)}")
             return default
         if isinstance(v, float) or -FLOAT_MAX <= v <= FLOAT_MAX:
             return float(v)
         return math.inf if v > 0 else -math.inf  # too large for a float; its owner rejects it
 
     def str_field(self, m, key, path, required=True, default="") -> str:
-        v = self._get(m, key, path, required, default)
+        v = self._get(m, key, path, required)
+        if v is None:
+            return default
         if not isinstance(v, str):
-            self.fail(f"{path}.{key}", f"expected a string, got {v!r}")
+            self.fail(f"{path}.{key}", f"expected a string, got {shown(v)}")
             return default
         return v
 
     def bool_field(self, m, key, path, required=True, default=False) -> bool:
-        v = self._get(m, key, path, required, default)
+        v = self._get(m, key, path, required)
+        if v is None:
+            return default
         if not isinstance(v, bool):
-            self.fail(f"{path}.{key}", f"expected true/false, got {v!r}")
+            self.fail(f"{path}.{key}", f"expected true/false, got {shown(v)}")
             return default
         return v
 
     def choice(self, m, key, path, table, required=True, default=None):
-        v = self._get(m, key, path, required, None)
+        v = self._get(m, key, path, required)
         if v is None:
             return default
         if not isinstance(v, str) or v not in table:
             options = ", ".join(sorted(table))
-            self.fail(f"{path}.{key}", f"expected one of [{options}], got {v!r}")
+            self.fail(f"{path}.{key}", f"expected one of [{options}], got {shown(v)}")
             return default
         return table[v]
 
@@ -266,7 +273,7 @@ def _read_spec(r: _Reader, raw: Any, path: str, base: DeviceSpec) -> DeviceSpec:
 
 def _read_node(r: _Reader, m: Any, path: str, tier_specs) -> Optional[Node]:
     if not isinstance(m, dict) or not m:
-        r.fail(path, f"expected a non-empty mapping, got {m!r}")
+        r.fail(path, f"expected a non-empty mapping, got {shown(m)}")
         return None
     r.known_keys(
         m, path, ("id", "tier", "role", "area", "service_rate_per_s", "spec", "account")
@@ -276,16 +283,12 @@ def _read_node(r: _Reader, m: Any, path: str, tier_specs) -> Optional[Node]:
     if tier is None:
         return None
     role = r.choice(m, "role", path, _ROLES, False, _DEFAULT_ROLE[tier])
-    area = None
-    if "area" in m and m["area"] is not None:
-        area = r.int_field(m, "area", path)
+    area = r.int_field(m, "area", path, False, Node.area)
     rate = r.float_field(m, "service_rate_per_s", path, False, Node.service_rate_per_s)
     spec = tier_specs[tier]
-    if "spec" in m and m["spec"] is not None:
+    if m.get("spec") is not None:
         spec = _read_spec(r, m["spec"], f"{path}.spec", spec)
-    account = None
-    if "account" in m and m["account"] is not None:
-        account = r.str_field(m, "account", path)
+    account = r.str_field(m, "account", path, False, Node.account)
     return Node(
         id=node_id,
         tier=tier,
@@ -332,35 +335,23 @@ class _Fallback(Exception):
 
 
 def _load(text: str) -> Any:
-    """``yaml.load(text, Loader=_LOADER)``, built by :func:`_walk`.
-
-    The cyclic garbage collector is paused while the document loads (it
-    would otherwise scan the young containers again and again), then left
-    as it was found.
-    """
+    """``yaml.load(text, Loader=_LOADER)``, built by :func:`_walk`."""
     loader = _LOADER(text)
-    enabled = gc.isenabled()
-    gc.disable()
     try:
-        try:
-            return _walk(loader)
-        except Exception:
-            # A shape left to PyYAML, or an error, which PyYAML raises in
-            # its own order: it composes a document before building any.
-            pass
-        finally:
-            loader.dispose()
-        try:
-            return yaml.load(text, Loader=_LOADER)
-        except (KeyError, AttributeError, IndexError):
-            # PyYAML's bool, timestamp, int and float constructors look up,
-            # match or index the text of an explicitly tagged scalar
-            # without checking it: `!!bool maybe`, `!!timestamp soon`,
-            # `!!float ""`.
-            raise ValueError("a scalar does not match its explicit tag") from None
+        return _walk(loader)
+    except Exception:
+        # A shape left to PyYAML, or an error, which PyYAML raises in its
+        # own order: it composes a document before building any.
+        pass
     finally:
-        if enabled:
-            gc.enable()
+        loader.dispose()
+    try:
+        return yaml.load(text, Loader=_LOADER)
+    except (KeyError, AttributeError, IndexError):
+        # PyYAML's bool, timestamp, int and float constructors look up,
+        # match or index the text of an explicitly tagged scalar without
+        # checking it: `!!bool maybe`, `!!timestamp soon`, `!!float ""`.
+        raise ValueError("a scalar does not match its explicit tag") from None
 
 
 def _walk(loader) -> Any:
@@ -444,7 +435,7 @@ def _build(doc: Any) -> ScenarioConfig:
     r.known_keys(run, "run", ("seed", "horizon_s", "warmup_s"))
     seed = r.int_field(run, "seed", "run", False, 0)
     horizon = r.float_field(run, "horizon_s", "run", True, 1.0)
-    warmup_explicit = "warmup_s" in run and run["warmup_s"] is not None
+    warmup_explicit = run.get("warmup_s") is not None
     warmup = r.float_field(run, "warmup_s", "run", False, DEFAULT_WARMUP_FRACTION * horizon)
 
     # -- models section ---------------------------------------------------
@@ -474,7 +465,7 @@ def _build(doc: Any) -> ScenarioConfig:
     if not 0 < c_ms <= FLOAT_MAX:
         r.fail("models.c_ms", f"must be finite and positive, got {c_ms!r}")
     bess = None
-    if "bess" in models and models["bess"] is not None:
+    if models.get("bess") is not None:
         bm = r.mapping(models["bess"], "models.bess")
         r.known_keys(bm, "models.bess", ("capacity_kwh", "soc_kwh", "efficiency"))
         bess = BessState(
@@ -518,7 +509,7 @@ def _build(doc: Any) -> ScenarioConfig:
             or len(raw) != 2
             or any(isinstance(v, bool) or not isinstance(v, int) for v in raw)
         ):
-            r.fail(path, f"expected a pair of node ids, got {raw!r}")
+            r.fail(path, f"expected a pair of node ids, got {shown(raw)}")
             continue
         links.append((raw[0], raw[1]))
     topology = make_topology(nodes, links, mode)
@@ -535,7 +526,7 @@ def _build(doc: Any) -> ScenarioConfig:
     class_m = r.mapping(workload.get("classification"), "workload.classification")
     for kind, raw in class_m.items():
         if not isinstance(kind, str):
-            r.fail("workload.classification", f"kind {kind!r} must be a string")
+            r.fail("workload.classification", f"kind {shown(kind)} must be a string")
             continue
         cls = r.choice(
             class_m, kind, "workload.classification", _CLASSES, True, None
@@ -562,16 +553,15 @@ def _build(doc: Any) -> ScenarioConfig:
     registry = {}
     reg_m = r.mapping(workload.get("vehicle_registry"), "workload.vehicle_registry")
     for vehicle, raw in reg_m.items():
-        path = f"workload.vehicle_registry.{vehicle}"
         if not isinstance(vehicle, str):
-            r.fail("workload.vehicle_registry", f"vehicle id {vehicle!r} must be a string")
+            r.fail("workload.vehicle_registry", f"vehicle id {shown(vehicle)} must be a string")
             continue
+        path = f"workload.vehicle_registry.{vehicle}"
         vm = r.mapping(raw, path)
         r.known_keys(vm, path, ("meter", "account"))
         meter = r.int_field(vm, "meter", path)
-        account = by_id[meter].owner_account() if meter in by_id else None
-        if "account" in vm and vm["account"] is not None:
-            account = r.str_field(vm, "account", path)
+        owner = by_id[meter].owner_account() if meter in by_id else None
+        account = r.str_field(vm, "account", path, False, owner)
         registry[vehicle] = MeterIdentity(meter=meter, owner_account=account)
 
     sessions = []

@@ -16,7 +16,7 @@ from enum import Enum, IntEnum
 from functools import cached_property
 from typing import Optional
 
-from .errors import FogGridError
+from .errors import FogGridError, shown
 
 NodeId = int
 FogAreaId = int
@@ -145,7 +145,7 @@ class Node:
 
     def owner_account(self) -> str:
         """Billing account of the party owning this node (device tier)."""
-        return self.account if self.account is not None else f"meter-{self.id}"
+        return self.account if self.account is not None else f"meter-{shown(self.id, str)}"
 
 
 @dataclass(frozen=True)
@@ -269,8 +269,8 @@ def spec_violations(spec: DeviceSpec, owner: str) -> list[Violation]:
         report.append(
             Violation(
                 "spec power order",
-                f"{owner}: power_idle_mw {spec.power_idle_mw} exceeds "
-                f"power_active_mw {spec.power_active_mw}",
+                f"{owner}: power_idle_mw {shown(spec.power_idle_mw)} exceeds "
+                f"power_active_mw {shown(spec.power_active_mw)}",
             )
         )
     return report
@@ -297,17 +297,18 @@ def _mode_free_report(t: Topology) -> tuple[tuple[Violation, ...], ...]:
 
     seen: set[NodeId] = set()
     for n in t.nodes:
+        node, area = shown(n.id), n.area
         if n.id in seen:
-            report.append(Violation("duplicate id", f"node id {n.id} repeats"))
+            report.append(Violation("duplicate id", f"node id {node} repeats"))
         seen.add(n.id)
         if n.id < 0:
-            report.append(Violation("negative id", f"node id {n.id}"))
+            report.append(Violation("negative id", f"node id {node}"))
         elif n.id > FLOAT_MAX:
-            report.append(Violation("id range", f"node id {n.id} is beyond the float range"))
-        if n.area is not None and n.area < 0:
-            report.append(Violation("negative area", f"node {n.id} has area {n.area}"))
-        elif n.area is not None and n.area > FLOAT_MAX:
-            detail = f"node {n.id} has area {n.area} beyond the float range"
+            report.append(Violation("id range", f"node id {node} is beyond the float range"))
+        if area is not None and area < 0:
+            report.append(Violation("negative area", f"node {node} has area {shown(area)}"))
+        elif area is not None and area > FLOAT_MAX:
+            detail = f"node {node} has area {shown(area)} beyond the float range"
             report.append(Violation("area range", detail))
 
     clouds = [n for n in t.nodes if n.tier is Tier.CLOUD]
@@ -316,7 +317,7 @@ def _mode_free_report(t: Topology) -> tuple[tuple[Violation, ...], ...]:
             Violation(
                 "cloud cardinality",
                 f"expected exactly one cloud node, found {len(clouds)} "
-                f"({[n.id for n in clouds]})",
+                f"({shown([n.id for n in clouds])})",
             )
         )
 
@@ -325,7 +326,7 @@ def _mode_free_report(t: Topology) -> tuple[tuple[Violation, ...], ...]:
             report.append(
                 Violation(
                     "role tier mismatch",
-                    f"fog node {n.id} has role {n.role.value}; expected "
+                    f"fog node {shown(n.id)} has role {n.role.value}; expected "
                     "gateway or computing",
                 )
             )
@@ -333,29 +334,26 @@ def _mode_free_report(t: Topology) -> tuple[tuple[Violation, ...], ...]:
             report.append(
                 Violation(
                     "role tier mismatch",
-                    f"device node {n.id} has role {n.role.value}; expected "
+                    f"device node {shown(n.id)} has role {n.role.value}; expected "
                     "sensor, actuator, or connecting",
                 )
             )
         if n.tier is Tier.CLOUD and n.area is not None:
             report.append(
-                Violation("cloud area", f"cloud node {n.id} must not have an area")
+                Violation("cloud area", f"cloud node {shown(n.id)} must not have an area")
             )
         if n.tier is not Tier.CLOUD and n.area is None:
-            report.append(
-                Violation(
-                    "missing area", f"{n.tier.name.lower()} node {n.id} has no area"
-                )
-            )
+            tier = n.tier.name.lower()
+            report.append(Violation("missing area", f"{tier} node {shown(n.id)} has no area"))
         if not 0 < n.service_rate_per_s <= FLOAT_MAX:
             report.append(
                 Violation(
                     "service rate",
-                    f"node {n.id}: service_rate_per_s must be positive and "
-                    f"finite, got {n.service_rate_per_s!r}",
+                    f"node {shown(n.id)}: service_rate_per_s must be positive and "
+                    f"finite, got {shown(n.service_rate_per_s)}",
                 )
             )
-        report.extend(spec_violations(n.spec, f"node {n.id}"))
+        report.extend(spec_violations(n.spec, f"node {shown(n.id)}"))
 
     fog_by_area: dict[FogAreaId, list[NodeId]] = {}
     for n in t.nodes:
@@ -366,14 +364,14 @@ def _mode_free_report(t: Topology) -> tuple[tuple[Violation, ...], ...]:
             report.append(
                 Violation(
                     "fog cardinality",
-                    f"area {area} has {len(ids)} fog nodes ({ids}); expected one",
+                    f"area {shown(area)} has {len(ids)} fog nodes ({shown(ids)}); expected one",
                 )
             )
 
     orphans = tuple(
         Violation(
             "orphan area",
-            f"device {n.id} is in area {n.area}, which has no fog node",
+            f"device {shown(n.id)} is in area {shown(n.area)}, which has no fog node",
         )
         for n in t.nodes
         if n.tier is Tier.DEVICE and n.area is not None and n.area not in fog_by_area
@@ -384,19 +382,18 @@ def _mode_free_report(t: Topology) -> tuple[tuple[Violation, ...], ...]:
     for link in sorted(t.fog_links, key=sorted):
         ids = sorted(link)
         if len(ids) != 2:
-            links.append(Violation("self link", f"fog link {ids} joins a node to itself"))
+            links.append(Violation("self link", f"fog link {shown(ids)} joins a node to itself"))
             continue
-        a, b = ids
-        for end in (a, b):
+        a, b = map(shown, ids)
+        for end, shown_end in zip(ids, (a, b)):
             if end not in by_id:
-                links.append(
-                    Violation("dangling link", f"fog link ({a}, {b}) references unknown node {end}")
-                )
+                detail = f"fog link ({a}, {b}) references unknown node {shown_end}"
+                links.append(Violation("dangling link", detail))
             elif by_id[end].tier is not Tier.FOG:
                 links.append(
                     Violation(
                         "link tier",
-                        f"fog link ({a}, {b}) endpoint {end} is "
+                        f"fog link ({a}, {b}) endpoint {shown_end} is "
                         f"{by_id[end].tier.name.lower()}-tier, not fog",
                     )
                 )

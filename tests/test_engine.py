@@ -10,6 +10,7 @@ from conftest import cloud_node, device_node, fog_node, grid_topology, make_topo
 
 import foggrid
 from foggrid import engine
+from foggrid.errors import shown
 from foggrid import (
     GRID_TELEMETRY,
     METER_READING,
@@ -812,6 +813,49 @@ INT_FIELDS = [
 ]
 
 
+#: More digits than Python converts to text (sys.get_int_max_str_digits).
+HUGE = 10**5000
+_HUGE_TEXT = "an integer of 16,610 bits"
+
+#: (record, field, value, first line) of each integer of ``config_with``
+#: that holds HUGE, the registry meter among them.
+HUGE_CASES = [
+    ("Node", "id", HUGE, f"id range: node id {_HUGE_TEXT} is beyond the float range"),
+    (
+        "Node",
+        "area",
+        HUGE,
+        f"area range: node 1 has area {_HUGE_TEXT} beyond the float range",
+    ),
+    (
+        "ArrivalProcess",
+        "size_bytes",
+        HUGE,
+        "arrival_processes[0].size_bytes: "
+        f"must be positive and within the float range, got {_HUGE_TEXT}",
+    ),
+    ("RunConfig", "seed", HUGE, f"seed: must be an integer in [0, 2**64), got {_HUGE_TEXT}"),
+    (
+        "ArrivalProcess",
+        "target",
+        HUGE,
+        f"arrival_processes[0].target: node {_HUGE_TEXT} is not defined",
+    ),
+    (
+        "SessionPlan",
+        "outlet_meter",
+        HUGE,
+        f"sessions[0].outlet_meter: node {_HUGE_TEXT} is not defined",
+    ),
+    (
+        "RunConfig",
+        "vehicle_registry",
+        {"ev": MeterIdentity(meter=HUGE, owner_account="ev-owner")},
+        f"vehicle_registry.ev.meter: node {_HUGE_TEXT} is not defined",
+    ),
+]
+
+
 def int_line(name: str, value: int) -> str:
     """The first line of ``config_with`` holding ``value`` in the INT_FIELDS
     field ``name``: its owner's, check_run_values or validate_topology."""
@@ -884,3 +928,24 @@ class TestNumbersOfAnySize:
             foggrid.run(config_with(record, name, value))
         lines = getattr(exc.value, "problems", None) or [str(v) for v in exc.value.violations]
         assert lines[0] == int_line(name, value)
+
+    @pytest.mark.parametrize(
+        "record, name, value, line", HUGE_CASES, ids=[f"{r}.{n}" for r, n, *_ in HUGE_CASES]
+    )
+    def test_integer_too_long_to_print(self, record, name, value, line, no_engine):
+        # Python converts at most sys.get_int_max_str_digits() digits to
+        # text; a longer integer is shown by its size, never raised as a
+        # bare ValueError while the line is built.
+        with pytest.raises((InvalidRunConfig, InvalidTopology)) as exc:
+            foggrid.run(config_with(record, name, value))
+        lines = getattr(exc.value, "problems", None) or [str(v) for v in exc.value.violations]
+        assert lines[0] == line
+        assert str(exc.value)
+
+
+def test_shown():
+    assert shown(10**400) == repr(10**400)
+    assert shown(1.5) == "1.5" and shown("ev") == "'ev'" and shown("ev", str) == "ev"
+    assert shown(HUGE) == "an integer of 16,610 bits"
+    assert shown(-HUGE) == "a negative integer of 16,610 bits"
+    assert shown([1, HUGE]) == "a list holding an integer too long to print"

@@ -10,13 +10,33 @@ and checks the run with exact equality:
   with no devices, both put at the front of the node list, and a vehicle
   registry entry no session uses leave the digest and every existing
   node's queue statistics and energy ledger unchanged, in both modes.
+
+Two more relations check the stream keys, in both modes:
+
+* horizon prefix: the events of a run to half the horizon are the events
+  of the full run up to that time, with their seqs in the same relative
+  order, so no draw depends on the horizon;
+* appended process: a process of a new public kind appended at a target
+  that has processes and at one that has none leaves the source and
+  creation time of every message of the earlier processes unchanged.
 """
+
+from dataclasses import replace
 
 import pytest
 import yaml
 from test_golden import GOLDEN_DIGEST, SCENARIOS
 
-from foggrid import Mode, parse_config, run, with_mode
+from foggrid import (
+    CHARGE_REQUEST,
+    IDENTITY_TOKEN,
+    Mode,
+    SealedEnvelope,
+    open_envelope,
+    parse_config,
+    run,
+    with_mode,
+)
 
 
 def _reversed_keys(value):
@@ -84,3 +104,76 @@ def test_inert_additions(name, mode):
     for node in base.topology.nodes:
         assert after.queue_stats[node.id] == before.queue_stats[node.id]
         assert after.energy[node.id] == before.energy[node.id]
+
+
+def _recorded(name: str, mode: Mode, text: str = ""):
+    """The run config of golden scenario ``name`` in ``mode``, recording
+    events, or of ``text`` instead if given."""
+    rc = with_mode(parse_config(text or SCENARIOS[name]), mode).run_config
+    return replace(rc, record_events=True)
+
+
+def _order(values) -> list[int]:
+    """The indexes of ``values`` in their sorted order."""
+    return sorted(range(len(values)), key=values.__getitem__)
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_horizon_prefix(name, mode):
+    full_cfg = _recorded(name, mode)
+    half = full_cfg.horizon_s / 2
+    short = run(replace(full_cfg, horizon_s=half)).trace.events
+    full = run(full_cfg).trace.events
+    head = [e for e in full if e.time <= half]
+    assert len(head) == len(short) < len(full)
+    assert [(e.time, e.kind, e.node) for e in short] == [(e.time, e.kind, e.node) for e in head]
+    assert _order([e.seq for e in short]) == _order([e.seq for e in head])
+
+
+_NEW_KIND = "PowerQuality"
+_SESSION_KINDS = {CHARGE_REQUEST, IDENTITY_TOKEN}
+
+
+def _with_appended_processes(text: str) -> tuple[str, list[int]]:
+    """The scenario ``text`` with a process of the public kind _NEW_KIND
+    appended at the first process's target and another at the first node
+    no process targets, and those two targets."""
+    doc = yaml.safe_load(text)
+    workload = doc["workload"]
+    processes = workload["arrival_processes"]
+    targets = {p["target"] for p in processes}
+    fresh = next(n["id"] for n in doc["topology"]["nodes"] if n["id"] not in targets)
+    new_targets = [processes[0]["target"], fresh]
+    for target in new_targets:
+        processes.append({"rate_per_s": 0.05, "target": target, "payload_kind": _NEW_KIND})
+    workload.setdefault("classification", {})[_NEW_KIND] = "public"
+    return yaml.safe_dump(doc, sort_keys=False), new_targets
+
+
+def _kind(message) -> str:
+    content = message.content
+    if isinstance(content, SealedEnvelope):
+        content = open_envelope(content, message.src)  # the source holds a key
+    return content.kind
+
+
+def _process_messages(result, kinds_left_out) -> list[tuple[int, float]]:
+    """The sorted (src, created_at) of every recorded message whose kind
+    is not in ``kinds_left_out``."""
+    return sorted(
+        (m.src, m.created_at) for m in result.messages.values() if _kind(m) not in kinds_left_out
+    )
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_appended_process(name, mode):
+    text, new_targets = _with_appended_processes(SCENARIOS[name])
+    before = run(_recorded(name, mode))
+    after = run(_recorded(name, mode, text))
+    added = [m.src for m in after.messages.values() if _kind(m) == _NEW_KIND]
+    assert set(added) == set(new_targets)
+    assert _process_messages(after, _SESSION_KINDS | {_NEW_KIND}) == _process_messages(
+        before, _SESSION_KINDS
+    )

@@ -683,6 +683,8 @@ class TestFlatBuild:
 
 
 class TestGarbageCollector:
+    """A load leaves the caller's cyclic garbage collector as it found it."""
+
     def test_enabled_after_a_load(self):
         assert gc.isenabled()
         parse_config(MINIMAL)
@@ -694,16 +696,6 @@ class TestGarbageCollector:
             parse_config(text)
         assert gc.isenabled()
 
-    def test_paused_during_the_load(self, monkeypatch):
-        seen = []
-        monkeypatch.setattr(
-            "foggrid.scenario._walk",
-            lambda *args: seen.append(gc.isenabled()) or {"run": None},
-        )
-        with pytest.raises(SchemaError):
-            parse_config(MINIMAL)
-        assert seen == [False] and gc.isenabled()
-
     def test_left_disabled_when_the_caller_disabled_it(self):
         gc.disable()
         try:
@@ -714,6 +706,56 @@ class TestGarbageCollector:
             assert not gc.isenabled()
         finally:
             gc.enable()
+
+
+#: A YAML integer of 20,000 bits: Python's limit on the digits it converts
+#: from and to text holds for decimal literals only, not for hex ones.
+_HEX = "0x" + "f" * 5000
+_HEX_TEXT = "an integer of 20,000 bits"
+_HEX_NODE = f"    - {{id: {_HEX}, tier: device, area: 0}}\n"
+
+
+class TestIntegersTooLongToPrint:
+    @pytest.mark.parametrize(
+        "text, error, line",
+        [
+            (
+                MINIMAL.replace("run:", f"run:\n  seed: {_HEX}"),
+                SchemaError,
+                f"run.seed: must be an integer in [0, 2**64), got {_HEX_TEXT}",
+            ),
+            (
+                MINIMAL.replace("run:", f"run:\n  ? {_HEX}\n  : 1"),
+                SchemaError,
+                f"run.{_HEX_TEXT}: unknown key",
+            ),
+            (
+                MINIMAL + f"  fog_links: [[1, {_HEX}, 3]]\n",
+                SchemaError,
+                "topology.fog_links[0]: expected a pair of node ids, "
+                "got a list holding an integer too long to print",
+            ),
+            (
+                MINIMAL
+                + _HEX_NODE
+                + f"workload:\n  vehicle_registry:\n    ev: {{meter: {_HEX}}}\n",
+                InvalidTopology,
+                f"id range: node id {_HEX_TEXT} is beyond the float range",
+            ),
+            (
+                MINIMAL + "workload:\n  arrival_processes:\n"
+                f"    - {{rate_per_s: 1, target: {_HEX}, payload_kind: GridTelemetry}}\n",
+                DanglingReference,
+                f"workload.arrival_processes[0].target: node {_HEX_TEXT} is not defined",
+            ),
+        ],
+        ids=["seed", "key", "fog-link", "registry-meter", "target"],
+    )
+    def test_shown_by_its_size(self, text, error, line):
+        with pytest.raises(error) as exc:
+            parse_config(text)
+        lines = getattr(exc.value, "problems", None) or [str(v) for v in exc.value.violations]
+        assert lines[0] == line
 
 
 class TestDanglingReferences:

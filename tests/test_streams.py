@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 
 from foggrid.engine import _pcg64_states
 
-# The engine takes seeds below 2**64; one beyond 2**128 spans more words
-# than SeedSequence's pool holds, so the hash reads it on past the pool.
-SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**130 + 5)
+# The engine takes seeds below 2**64. 2**128 - 1 is the last seed that
+# fits SeedSequence's pool of four words; from 2**128 on, the hash mixes
+# the seed's later words in before the key words, which then hash on from
+# a later step.
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 - 1, 2**128, 2**130 + 5)
 # Ids of one, two and three 32-bit words.
 IDS = (0, 3, 2**32 - 1, 2**32 + 7, 2**70)
 # Service keys (purpose 0, id) and arrival keys (purpose 1, target, k):
