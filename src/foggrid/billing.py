@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
 
-from .errors import FogGridError
+from .errors import FogGridError, shown
 from .messages import (
     CHARGE_REQUEST,
     IDENTITY_TOKEN,
@@ -143,7 +143,7 @@ class ChargingSession:
         # is_legal_transition, inlined: this runs on every session step.
         if (self.state._name_, new_state._name_) not in _LEGAL_EDGES:
             raise InvalidState(
-                f"session {self.session_id}: cannot go from "
+                f"session {shown(self.session_id, str)}: cannot go from "
                 f"{self.state.value} to {new_state.value}"
             )
         changes["state"] = new_state
@@ -178,7 +178,7 @@ def initiate_session(
     node = by_id.get(outlet_meter)
     if node is None or node.tier is not Tier.DEVICE:
         raise UnknownOutlet(
-            f"outlet {outlet_meter} is not a device-tier node of the topology"
+            f"outlet {shown(outlet_meter, str)} is not a device-tier node of the topology"
         )
     identity = registry.get(vehicle_id)
     return _record(
@@ -214,7 +214,7 @@ def resolve_owner(
     """
     if s.state is not SessionState.REQUESTED:
         raise InvalidState(
-            f"session {s.session_id}: resolve_owner requires state requested, "
+            f"session {shown(s.session_id, str)}: resolve_owner requires state requested, "
             f"found {s.state.value}"
         )
     identity = registry.get(s.vehicle_id)
@@ -308,7 +308,7 @@ def meter_energy(
     Accepts AUTHORIZED (stepping through CHARGING) or CHARGING.
     """
     if delivered_kwh < 0:
-        raise NegativeEnergy(f"delivered energy must be >= 0, got {delivered_kwh!r}")
+        raise NegativeEnergy(f"delivered energy must be >= 0, got {shown(delivered_kwh)}")
     if s.state is SessionState.AUTHORIZED:
         s = s._advance(SessionState.CHARGING, started_at=at_s)
     return s._advance(SessionState.METERED, energy_kwh=delivered_kwh, ended_at=at_s)
@@ -319,12 +319,12 @@ def settle_bill(
 ) -> tuple[ChargingSession, BillRecord]:
     """Debit the metered energy to the vehicle owner's account."""
     if tariff_per_kwh <= 0:
-        raise NonpositiveTariff(f"tariff must be positive, got {tariff_per_kwh!r}")
+        raise NonpositiveTariff(f"tariff must be positive, got {shown(tariff_per_kwh)}")
     billed = s._advance(SessionState.BILLED)
     identity = registry.get(s.vehicle_id)
     if identity is None:
         raise InvalidState(
-            f"session {s.session_id}: vehicle {s.vehicle_id!r} missing from "
+            f"session {shown(s.session_id, str)}: vehicle {s.vehicle_id!r} missing from "
             "registry at settlement"
         )
     bill = _record(

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .errors import FogGridError
+from .errors import FogGridError, shown
 from .topology import FLOAT_MAX, DeviceSpec, NodeId
 
 
@@ -48,8 +48,8 @@ def accrue_energy(
     """
     if active_s < 0 or idle_s < 0:
         raise NegativeDuration(
-            f"durations must be nonnegative, got active={active_s!r} "
-            f"idle={idle_s!r}"
+            f"durations must be nonnegative, got active={shown(active_s)} "
+            f"idle={shown(idle_s)}"
         )
     added = active_s * spec.power_active_mw + idle_s * spec.power_idle_mw
     return EnergyLedger(
@@ -72,7 +72,7 @@ def processing_time(m: ProcessingModel, n: int) -> float:
     the float range the time is ``inf``, as it already is for an ``n``
     just inside it."""
     if n < 1:
-        raise NonpositiveN(f"data-set size must be >= 1, got {n!r}")
+        raise NonpositiveN(f"data-set size must be >= 1, got {shown(n)}")
     if n > FLOAT_MAX:  # an int ``n`` too large for a float
         return math.inf
     return m.c_ms * n * math.log2(n)
@@ -84,7 +84,7 @@ class BessState:
     charging efficiency (fraction of charged energy actually stored)."""
 
     capacity_kwh: float
-    soc_kwh: float
+    soc_kwh: float = 0.0
     efficiency: float = 1.0
 
 

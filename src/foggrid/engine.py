@@ -147,7 +147,7 @@ class ArrivalProcess:
     rate_per_s: float
     target: NodeId
     payload_kind: str
-    size_bytes: int
+    size_bytes: int = 256
 
 
 @dataclass(frozen=True)
@@ -847,6 +847,8 @@ def check_run_values(cfg: RunConfig) -> list[str]:
                     fail(f"{path}[{i}].{name}", "must be finite and nonnegative", value)
 
     seed, horizon, tariff, bess = cfg.seed, cfg.horizon_s, cfg.tariff_per_kwh, cfg.bess
+    # A rule comparing two fields stays the elif of the `0 < x` rule on the
+    # one it compares with: the YAML reader reads a failed one as 0.
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         fail("seed", "must be an integer in [0, 2**64)", seed)
     if not 0 < horizon <= FLOAT_MAX:

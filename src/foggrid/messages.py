@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Union
 
-from .errors import FogGridError
+from .errors import FogGridError, shown
 from .topology import Mode, Node, NodeId, Tier, Topology
 
 # Canonical payload kinds. The classification table is open: scenarios may
@@ -161,14 +161,14 @@ def check_keyholders(holders, t: Topology) -> None:
         node = by_id.get(h)
         if node is not None and node.tier is Tier.FOG:
             raise FogKeyholderForbidden(
-                f"fog node {h} may not hold keys for private data"
+                f"fog node {shown(h, str)} may not hold keys for private data"
             )
 
 
 def open_envelope(e: SealedEnvelope, opener: NodeId) -> Payload:
     """Return the inner payload iff ``opener`` is a keyholder."""
     if opener not in e.keyholders:
-        raise NotKeyholder(f"node {opener} cannot open envelope {e.seal_tag}")
+        raise NotKeyholder(f"node {shown(opener, str)} cannot open envelope {e.seal_tag}")
     return e.inner
 
 
@@ -204,7 +204,7 @@ def serving_node(n: Node, t: Topology) -> NodeId:
         return t.cloud_id
     fog = t.fog_for_area(n.area)
     if fog is None:
-        raise NoRoute(f"area {n.area} of device {n.id} has no fog node")
+        raise NoRoute(f"area {shown(n.area, str)} of device {shown(n.id, str)} has no fog node")
     return fog.id
 
 
@@ -222,7 +222,7 @@ def resolve_route(src: NodeId, dst: NodeId, t: Topology) -> Route:
     by_id = t.by_id()
     for end in (src, dst):
         if end not in by_id:
-            raise UnknownNode(f"node {end} is not in the topology")
+            raise UnknownNode(f"node {shown(end, str)} is not in the topology")
     a, b = by_id[src], by_id[dst]
 
     if t.mode is Mode.CLOUD_ONLY:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FogGridError
+from .errors import FogGridError, shown
 from .topology import NodeId
 
 #: Floor used in the Little's Law residual denominator.
@@ -57,11 +57,11 @@ def mm1_analytic(lam: float, mu: float) -> MM1Metrics:
     raises Unstable otherwise.
     """
     if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu!r}")
+        raise ValueError(f"mu must be positive, got {shown(mu)}")
     if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam!r}")
+        raise ValueError(f"lambda must be nonnegative, got {shown(lam)}")
     if lam >= mu:
-        raise Unstable(f"lambda {lam} >= mu {mu}: queue diverges")
+        raise Unstable(f"lambda {shown(lam, str)} >= mu {shown(mu, str)}: queue diverges")
     w = 1.0 / (mu - lam)
     return MM1Metrics(W=w, L=lam * w, rho=lam / mu)
 
@@ -71,10 +71,10 @@ def calibrate_service_rate(target_wait_s: float, lam: float) -> float:
     sojourn ``target_wait_s``: mu = 1/target + lambda."""
     if target_wait_s <= 0:
         raise NonpositiveTarget(
-            f"target waiting time must be positive, got {target_wait_s!r}"
+            f"target waiting time must be positive, got {shown(target_wait_s)}"
         )
     if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam!r}")
+        raise ValueError(f"lambda must be nonnegative, got {shown(lam)}")
     return 1.0 / target_wait_s + lam
 
 

@@ -51,16 +51,19 @@ sign where a float is expected, and as itself where an integer is): a run,
 model or workload value as a SchemaError, a node's id, area, service rate
 or spec as an InvalidTopology line. A target, registry meter or outlet no
 node has is a DanglingReference. An omitted optional field takes the
-default of the model type that owns it (``RunConfig``, ``Node``, ...).
+default of the model type that owns it (``RunConfig``, ``Node``, ...), and
+a battery, charge entry, arrival process, session or spec has the fields of
+its dataclass. A run rule on a mistyped or missing field is not reported.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 import re
-from dataclasses import dataclass, replace
-from typing import Any, Optional
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import Any, Optional, get_type_hints
 
 import yaml
 from yaml.events import DocumentEndEvent, MappingEndEvent, MappingStartEvent, ScalarEvent
@@ -72,10 +75,9 @@ from .engine import ArrivalProcess, BessChargeEntry, RunConfig, SessionPlan
 from .engine import check_run_references, check_run_values
 from .energy import BessState, ProcessingModel
 from .errors import ConfigError, shown
-from .messages import DEFAULT_CLASSIFICATION, METER_READING, DataClass
+from .messages import DEFAULT_CLASSIFICATION, DataClass
 from .topology import (
     FLOAT_MAX,
-    SPEC_FIELDS,
     DeviceRole,
     DeviceSpec,
     InvalidTopology,
@@ -169,15 +171,23 @@ class ScenarioConfig:
     warmup_explicit: bool = False
 
 
-class _Reader:
-    """Typed field access that collects problems instead of raising.
+#: The ``default`` of a required field.
+_REQUIRED = object()
 
-    Every accessor returns a usable placeholder on failure so validation
-    can continue and report all problems in one pass.
+
+class _Reader:
+    """Typed field access that collects problems instead of raising, so
+    one pass reports every problem.
+
+    A missing or mistyped field reads as its default, and a required one
+    as its type's zero (``_TYPE_PROBLEMS``; None for a choice). The path of
+    every field that fails goes in ``failed``, so a run-rule line on it,
+    about a value the document does not hold, is dropped.
     """
 
     def __init__(self) -> None:
         self.problems: list[str] = []
+        self.failed: set[str] = set()
 
     def fail(self, path: str, msg: str) -> None:
         self.problems.append(f"{path}: {msg}")
@@ -203,72 +213,75 @@ class _Reader:
             if key not in allowed:
                 self.fail(f"{path}.{shown(key, str)}", "unknown key")
 
-    def _get(self, m: dict, key: str, path: str, required: bool):
-        """``m[key]``, or None if it is missing or null, which only a
-        required field reports; each accessor then returns its default."""
+    def _fallback(self, v, key, path, default, expected, zero):
+        """What field ``key`` reads as when it holds ``v``, which is None
+        (omitted) or not ``expected`` (a text, or a choice's table)."""
+        if v is None and default is not _REQUIRED:
+            return default
+        if v is None:
+            problem = "required field is missing"
+        elif isinstance(expected, str):
+            problem = f"expected {expected}, got {shown(v)}"
+        else:
+            problem = f"expected one of [{', '.join(sorted(expected))}], got {shown(v)}"
+        self.fail(f"{path}.{key}", problem)
+        self.failed.add(f"{path}.{key}")
+        return zero if default is _REQUIRED else default
+
+    def field(self, m, key, path, kind: type, default=_REQUIRED):
+        """Field ``key`` as an int, float, str or bool ``kind``. An integer
+        is read at any size (its owner states its range), and as a float
+        where a float is expected."""
         v = m.get(key)
-        if v is None and required:
-            self.fail(f"{path}.{key}", "required field is missing")
-        return v
+        if v.__class__ is kind:
+            return v
+        if kind is float and v.__class__ is int:
+            if -FLOAT_MAX <= v <= FLOAT_MAX:
+                return float(v)
+            return math.inf if v > 0 else -math.inf  # too large for a float; its owner rejects it
+        return self._fallback(v, key, path, default, *_TYPE_PROBLEMS[kind])
 
-    def int_field(self, m, key, path, required=True, default=0) -> int:
-        """An integer of any size: its owner states its range."""
-        v = self._get(m, key, path, required)
-        if v is None:
-            return default
-        if isinstance(v, bool) or not isinstance(v, int):
-            self.fail(f"{path}.{key}", f"expected an integer, got {shown(v)}")
-            return default
-        return v
+    def choice(self, m, key, path, table, default=_REQUIRED):
+        v = m.get(key)
+        if isinstance(v, str) and v in table:
+            return table[v]
+        return self._fallback(v, key, path, default, table, None)
 
-    def float_field(self, m, key, path, required=True, default=0.0) -> float:
-        v = self._get(m, key, path, required)
-        if v is None:
-            return default
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            self.fail(f"{path}.{key}", f"expected a number, got {shown(v)}")
-            return default
-        if isinstance(v, float) or -FLOAT_MAX <= v <= FLOAT_MAX:
-            return float(v)
-        return math.inf if v > 0 else -math.inf  # too large for a float; its owner rejects it
-
-    def str_field(self, m, key, path, required=True, default="") -> str:
-        v = self._get(m, key, path, required)
-        if v is None:
-            return default
-        if not isinstance(v, str):
-            self.fail(f"{path}.{key}", f"expected a string, got {shown(v)}")
-            return default
-        return v
-
-    def bool_field(self, m, key, path, required=True, default=False) -> bool:
-        v = self._get(m, key, path, required)
-        if v is None:
-            return default
-        if not isinstance(v, bool):
-            self.fail(f"{path}.{key}", f"expected true/false, got {shown(v)}")
-            return default
-        return v
-
-    def choice(self, m, key, path, table, required=True, default=None):
-        v = self._get(m, key, path, required)
-        if v is None:
-            return default
-        if not isinstance(v, str) or v not in table:
-            options = ", ".join(sorted(table))
-            self.fail(f"{path}.{key}", f"expected one of [{options}], got {shown(v)}")
-            return default
-        return table[v]
+    def record(self, cls, raw: Any, path: str, base=None):
+        """The ``cls`` record that the mapping ``raw`` holds, its keys and
+        their types those of the dataclass ``cls``; an omitted field takes
+        its default in ``cls``, or with a ``base`` record, its value there."""
+        names, kinds = _record_fields(cls)
+        m = self.mapping(raw, path)
+        self.known_keys(m, path, names)
+        values = []  # a loop, not a comprehension: it runs for every session
+        for name, kind, default in kinds:
+            if base is not None:
+                default = getattr(base, name)
+            values.append(self.field(m, name, path, kind, default))
+        return cls(*values)
 
 
-def _read_spec(r: _Reader, raw: Any, path: str, base: DeviceSpec) -> DeviceSpec:
-    """Partial spec mapping merged over ``base``."""
-    m = r.mapping(raw, path)
-    r.known_keys(m, path, SPEC_FIELDS)
-    return DeviceSpec(  # SPEC_FIELDS: three counts, then two powers
-        **{f: r.int_field(m, f, path, False, getattr(base, f)) for f in SPEC_FIELDS[:3]},
-        **{f: r.float_field(m, f, path, False, getattr(base, f)) for f in SPEC_FIELDS[3:]},
+#: The type a problem line names for each field kind, and the zero that a
+#: missing or mistyped required field of that kind reads as.
+_TYPE_PROBLEMS = {
+    int: ("an integer", 0),
+    float: ("a number", 0.0),
+    str: ("a string", ""),
+    bool: ("true/false", False),
+}
+
+
+@functools.cache
+def _record_fields(cls) -> tuple[tuple[str, ...], tuple]:
+    """The field names of the dataclass ``cls``, and each field's name,
+    type, and default (``_REQUIRED`` if it has none)."""
+    types = get_type_hints(cls)
+    kinds = tuple(
+        (f.name, types[f.name], _REQUIRED if f.default is MISSING else f.default)
+        for f in fields(cls)
     )
+    return tuple(name for name, _, _ in kinds), kinds
 
 
 def _read_node(r: _Reader, m: Any, path: str, tier_specs) -> Optional[Node]:
@@ -278,17 +291,17 @@ def _read_node(r: _Reader, m: Any, path: str, tier_specs) -> Optional[Node]:
     r.known_keys(
         m, path, ("id", "tier", "role", "area", "service_rate_per_s", "spec", "account")
     )
-    node_id = r.int_field(m, "id", path)
+    node_id = r.field(m, "id", path, int)
     tier = r.choice(m, "tier", path, _TIERS)
     if tier is None:
         return None
-    role = r.choice(m, "role", path, _ROLES, False, _DEFAULT_ROLE[tier])
-    area = r.int_field(m, "area", path, False, Node.area)
-    rate = r.float_field(m, "service_rate_per_s", path, False, Node.service_rate_per_s)
+    role = r.choice(m, "role", path, _ROLES, _DEFAULT_ROLE[tier])
+    area = r.field(m, "area", path, int, Node.area)
+    rate = r.field(m, "service_rate_per_s", path, float, Node.service_rate_per_s)
     spec = tier_specs[tier]
     if m.get("spec") is not None:
-        spec = _read_spec(r, m["spec"], f"{path}.spec", spec)
-    account = r.str_field(m, "account", path, False, Node.account)
+        spec = r.record(DeviceSpec, m["spec"], f"{path}.spec", spec)
+    account = r.field(m, "account", path, str, Node.account)
     return Node(
         id=node_id,
         tier=tier,
@@ -433,10 +446,10 @@ def _build(doc: Any) -> ScenarioConfig:
     if "run" not in root:
         r.fail("run", "required section is missing")
     r.known_keys(run, "run", ("seed", "horizon_s", "warmup_s"))
-    seed = r.int_field(run, "seed", "run", False, 0)
-    horizon = r.float_field(run, "horizon_s", "run", True, 1.0)
+    seed = r.field(run, "seed", "run", int, 0)
+    horizon = r.field(run, "horizon_s", "run", float)
     warmup_explicit = run.get("warmup_s") is not None
-    warmup = r.float_field(run, "warmup_s", "run", False, DEFAULT_WARMUP_FRACTION * horizon)
+    warmup = r.field(run, "warmup_s", "run", float, DEFAULT_WARMUP_FRACTION * horizon)
 
     # -- models section ---------------------------------------------------
     models = r.mapping(root.get("models"), "models")
@@ -458,44 +471,31 @@ def _build(doc: Any) -> ScenarioConfig:
     r.known_keys(power_specs, "models.power_specs", tuple(_TIERS))
     for name, tier in _TIERS.items():
         if name in power_specs:
-            tier_specs[tier] = _read_spec(
-                r, power_specs[name], f"models.power_specs.{name}", tier_specs[tier]
+            tier_specs[tier] = r.record(
+                DeviceSpec, power_specs[name], f"models.power_specs.{name}", tier_specs[tier]
             )
-    c_ms = r.float_field(models, "c_ms", "models", False, ProcessingModel.c_ms)
+    c_ms = r.field(models, "c_ms", "models", float, ProcessingModel.c_ms)
     if not 0 < c_ms <= FLOAT_MAX:
         r.fail("models.c_ms", f"must be finite and positive, got {c_ms!r}")
     bess = None
     if models.get("bess") is not None:
-        bm = r.mapping(models["bess"], "models.bess")
-        r.known_keys(bm, "models.bess", ("capacity_kwh", "soc_kwh", "efficiency"))
-        bess = BessState(
-            capacity_kwh=r.float_field(bm, "capacity_kwh", "models.bess", True, 1.0),
-            soc_kwh=r.float_field(bm, "soc_kwh", "models.bess", False, 0.0),
-            efficiency=r.float_field(bm, "efficiency", "models.bess", False, BessState.efficiency),
+        bess = r.record(BessState, models["bess"], "models.bess")
+    schedule = [
+        r.record(BessChargeEntry, raw, f"models.bess_charge_schedule[{i}]")
+        for i, raw in enumerate(
+            r.sequence(models.get("bess_charge_schedule"), "models.bess_charge_schedule")
         )
-    schedule = []
-    for i, raw in enumerate(
-        r.sequence(models.get("bess_charge_schedule"), "models.bess_charge_schedule")
-    ):
-        path = f"models.bess_charge_schedule[{i}]"
-        em = r.mapping(raw, path)
-        r.known_keys(em, path, ("at_s", "energy_kwh"))
-        schedule.append(
-            BessChargeEntry(
-                at_s=r.float_field(em, "at_s", path, True, 0.0),
-                energy_kwh=r.float_field(em, "energy_kwh", path, True, 0.0),
-            )
-        )
-    tariff = r.float_field(models, "tariff_per_kwh", "models", False, RunConfig.tariff_per_kwh)
-    grid = r.bool_field(models, "grid_available", "models", False, RunConfig.grid_available)
-    hop_delay = r.float_field(models, "hop_delay_s", "models", False, RunConfig.hop_delay_s)
+    ]
+    tariff = r.field(models, "tariff_per_kwh", "models", float, RunConfig.tariff_per_kwh)
+    grid = r.field(models, "grid_available", "models", bool, RunConfig.grid_available)
+    hop_delay = r.field(models, "hop_delay_s", "models", float, RunConfig.hop_delay_s)
 
     # -- topology section -------------------------------------------------
     topo_m = r.mapping(root.get("topology"), "topology")
     if "topology" not in root:
         r.fail("topology", "required section is missing")
     r.known_keys(topo_m, "topology", ("mode", "nodes", "fog_links"))
-    mode = r.choice(topo_m, "mode", "topology", _MODES, False, Topology.mode)
+    mode = r.choice(topo_m, "mode", "topology", _MODES, Topology.mode)
     nodes = []
     for i, raw in enumerate(r.sequence(topo_m.get("nodes"), "topology.nodes")):
         node = _read_node(r, raw, f"topology.nodes[{i}]", tier_specs)
@@ -528,27 +528,16 @@ def _build(doc: Any) -> ScenarioConfig:
         if not isinstance(kind, str):
             r.fail("workload.classification", f"kind {shown(kind)} must be a string")
             continue
-        cls = r.choice(
-            class_m, kind, "workload.classification", _CLASSES, True, None
-        )
+        cls = r.choice(class_m, kind, "workload.classification", _CLASSES)
         if cls is not None:
             classification[kind] = cls
 
-    processes = []
-    for i, raw in enumerate(
-        r.sequence(workload.get("arrival_processes"), "workload.arrival_processes")
-    ):
-        path = f"workload.arrival_processes[{i}]"
-        pm = r.mapping(raw, path)
-        r.known_keys(pm, path, ("rate_per_s", "target", "payload_kind", "size_bytes"))
-        processes.append(
-            ArrivalProcess(
-                rate_per_s=r.float_field(pm, "rate_per_s", path, True, 0.0),
-                target=r.int_field(pm, "target", path),
-                payload_kind=r.str_field(pm, "payload_kind", path, True, METER_READING),
-                size_bytes=r.int_field(pm, "size_bytes", path, False, 256),
-            )
+    processes = [
+        r.record(ArrivalProcess, raw, f"workload.arrival_processes[{i}]")
+        for i, raw in enumerate(
+            r.sequence(workload.get("arrival_processes"), "workload.arrival_processes")
         )
+    ]
 
     registry = {}
     reg_m = r.mapping(workload.get("vehicle_registry"), "workload.vehicle_registry")
@@ -559,27 +548,15 @@ def _build(doc: Any) -> ScenarioConfig:
         path = f"workload.vehicle_registry.{vehicle}"
         vm = r.mapping(raw, path)
         r.known_keys(vm, path, ("meter", "account"))
-        meter = r.int_field(vm, "meter", path)
+        meter = r.field(vm, "meter", path, int)
         owner = by_id[meter].owner_account() if meter in by_id else None
-        account = r.str_field(vm, "account", path, False, owner)
+        account = r.field(vm, "account", path, str, owner)
         registry[vehicle] = MeterIdentity(meter=meter, owner_account=account)
 
-    sessions = []
-    for i, raw in enumerate(r.sequence(workload.get("sessions"), "workload.sessions")):
-        path = f"workload.sessions[{i}]"
-        sm = r.mapping(raw, path)
-        r.known_keys(
-            sm, path, ("vehicle_id", "outlet_meter", "start_s", "energy_kwh", "duration_s")
-        )
-        sessions.append(
-            SessionPlan(
-                vehicle_id=r.str_field(sm, "vehicle_id", path),
-                outlet_meter=r.int_field(sm, "outlet_meter", path),
-                start_s=r.float_field(sm, "start_s", path, True, 0.0),
-                energy_kwh=r.float_field(sm, "energy_kwh", path, True, 0.0),
-                duration_s=r.float_field(sm, "duration_s", path, False, SessionPlan.duration_s),
-            )
-        )
+    sessions = [
+        r.record(SessionPlan, raw, f"workload.sessions[{i}]")
+        for i, raw in enumerate(r.sequence(workload.get("sessions"), "workload.sessions"))
+    ]
 
     run_config = RunConfig(
         seed=seed,
@@ -596,9 +573,12 @@ def _build(doc: Any) -> ScenarioConfig:
         grid_available=grid,
         hop_delay_s=hop_delay,
     )
-    # Each placeholder passes check_run_values, so a field's type problem
-    # and a value problem elsewhere are both reported, each once.
-    problems = r.problems + _relabel(check_run_values(run_config), _YAML_PATHS)
+    # A field the reader failed holds its default or its type's zero, not
+    # the document's value, so a run-rule line on its path is dropped. A
+    # failed horizon_s or capacity_kwh reads as 0 and fails its `0 < x`
+    # rule, so check_run_values compares no other field with it.
+    values = _relabel(check_run_values(run_config), _YAML_PATHS)
+    problems = r.problems + [p for p in values if p.partition(": ")[0] not in r.failed]
     if problems:
         raise SchemaError(problems)
 

@@ -11,7 +11,7 @@ violations as data rather than raising.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum, IntEnum
 from functools import cached_property
 from typing import Optional
@@ -205,7 +205,7 @@ class Topology:
         try:
             return self._by_id[node_id]
         except KeyError:
-            raise KeyError(f"no node with id {node_id}") from None
+            raise KeyError(f"no node with id {shown(node_id, str)}") from None
 
     def by_id(self) -> dict[NodeId, Node]:
         return self._by_id
@@ -243,8 +243,8 @@ class Violation:
         return f"{self.code}: {self.detail}"
 
 
-#: The fields of a DeviceSpec, which are also its YAML keys.
-SPEC_FIELDS = ("cpu_mhz", "cores", "memory_mb", "power_active_mw", "power_idle_mw")
+#: The fields of a DeviceSpec, power_idle_mw last.
+SPEC_FIELDS = tuple(f.name for f in fields(DeviceSpec))
 
 
 def spec_violations(spec: DeviceSpec, owner: str) -> list[Violation]:

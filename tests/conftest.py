@@ -8,7 +8,10 @@ package against an independent computation rather than against itself.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from collections import deque
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -27,6 +30,31 @@ from foggrid import (
 )
 
 CLOUD_ID = 0
+
+WORKLOADS_PY = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+def bench_workloads():
+    """bench/workloads.py, loaded without putting bench/ on the path (its
+    dataclass needs the module registered while it executes)."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PY)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return workloads
+
+
+def _bench_tiny() -> dict[str, str]:
+    workloads = bench_workloads()
+    seed = workloads.DEFAULT_SEED
+    return {name: workloads.generate(name, seed, "tiny") for name in workloads.WORKLOADS}
+
+
+#: The ``tiny`` document of each benchmark workload at its pinned seed.
+BENCH_TINY = _bench_tiny()
 
 #: The scenario fields a non-finite number must not slip through.
 FINITE_FIELDS = ("horizon_s", "warmup_s", "rate_per_s")

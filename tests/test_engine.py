@@ -9,7 +9,7 @@ import pytest
 from conftest import cloud_node, device_node, fog_node, grid_topology, make_topology
 
 import foggrid
-from foggrid import engine
+from foggrid import engine, messages
 from foggrid.errors import shown
 from foggrid import (
     GRID_TELEMETRY,
@@ -949,3 +949,80 @@ def test_shown():
     assert shown(HUGE) == "an integer of 16,610 bits"
     assert shown(-HUGE) == "a negative integer of 16,610 bits"
     assert shown([1, HUGE]) == "a list holding an integer too long to print"
+
+
+_REGISTRY = {"ev": MeterIdentity(meter=2, owner_account="acct")}
+
+
+def _session(session_id=1):
+    """Session ``session_id`` of vehicle ev, requested at its own meter 2."""
+    return foggrid.initiate_session(session_id, "ev", 2, _REGISTRY, grid_topology(1, 1))
+
+
+def _metered(session_id):
+    """``_session(session_id)`` metered with 1 kWh."""
+    s, _ = foggrid.resolve_owner(_session(session_id), _REGISTRY, grid_topology(1, 1))
+    return foggrid.meter_energy(foggrid.authorize(s), 1.0)
+
+
+def _envelope():
+    return foggrid.seal(foggrid.Payload(METER_READING, 1), {0}, grid_topology(1, 1))
+
+
+#: (typed error, call) of every helper whose error text shows a number it
+#: is given: cloud 0, fog 1 and device 2 in one area, and HUGE or -HUGE.
+HUGE_CALLS = {
+    "Topology.node": (KeyError, lambda: grid_topology(1, 1).node(HUGE)),
+    "resolve_route": (foggrid.UnknownNode, lambda: resolve_route(2, HUGE, grid_topology(1, 1))),
+    "serving_node": (
+        foggrid.NoRoute,
+        lambda: messages.serving_node(device_node(HUGE, area=HUGE), grid_topology(1, 1)),
+    ),
+    "open_envelope": (foggrid.NotKeyholder, lambda: foggrid.open_envelope(_envelope(), HUGE)),
+    "check_keyholders": (
+        foggrid.FogKeyholderForbidden,
+        lambda: messages.check_keyholders(
+            {HUGE}, make_topology([cloud_node(), fog_node(HUGE, area=0)])
+        ),
+    ),
+    "initiate_session": (
+        foggrid.UnknownOutlet,
+        lambda: foggrid.initiate_session(1, "ev", HUGE, {}, grid_topology(1, 1)),
+    ),
+    "meter_energy": (foggrid.NegativeEnergy, lambda: foggrid.meter_energy(_session(), -HUGE)),
+    "settle_bill": (foggrid.NonpositiveTariff, lambda: foggrid.settle_bill(_session(), -HUGE, {})),
+    "InvalidState-step": (foggrid.InvalidState, lambda: foggrid.authorize(_session(HUGE))),
+    "InvalidState-resolve_owner": (
+        foggrid.InvalidState,
+        lambda: foggrid.resolve_owner(
+            foggrid.reject_session(_session(HUGE), "test"), {}, grid_topology(1, 1)
+        ),
+    ),
+    "InvalidState-settle_bill": (
+        foggrid.InvalidState,
+        lambda: foggrid.settle_bill(_metered(HUGE), 0.2, {}),
+    ),
+    "accrue_energy": (
+        foggrid.NegativeDuration,
+        lambda: foggrid.accrue_energy(
+            foggrid.EnergyLedger(1), foggrid.default_fog_spec(), -HUGE, 0.0
+        ),
+    ),
+    "processing_time": (
+        foggrid.NonpositiveN,
+        lambda: foggrid.processing_time(foggrid.ProcessingModel(), -HUGE),
+    ),
+    "mm1_analytic": (foggrid.Unstable, lambda: mm1_analytic(HUGE, 1.0)),
+    "calibrate_service_rate": (
+        foggrid.NonpositiveTarget,
+        lambda: foggrid.calibrate_service_rate(-HUGE, 0.1),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", HUGE_CALLS)
+def test_typed_error_shows_an_integer_too_long_to_print(name):
+    error, call = HUGE_CALLS[name]
+    with pytest.raises(error) as exc:
+        call()
+    assert "integer of 16,610 bits" in str(exc.value)

@@ -19,12 +19,17 @@ Two more relations check the stream keys, in both modes:
 * appended process: a process of a new public kind appended at a target
   that has processes and at one that has none leaves the source and
   creation time of every message of the earlier processes unchanged.
+
+Each relation also runs on the ``tiny`` size of both benchmark workloads,
+in both modes; their document-form runs are compared with the run of the
+original document, as they have no pinned digest.
 """
 
 from dataclasses import replace
 
 import pytest
 import yaml
+from conftest import BENCH_TINY
 from test_golden import GOLDEN_DIGEST, SCENARIOS
 
 from foggrid import (
@@ -37,6 +42,10 @@ from foggrid import (
     run,
     with_mode,
 )
+
+
+#: Every document a relation runs on: the golden scenarios and BENCH_TINY.
+DOCUMENTS = SCENARIOS | BENCH_TINY
 
 
 def _reversed_keys(value):
@@ -75,6 +84,18 @@ def test_document_form(name, form):
     assert run(sc.run_config).trace.digest == GOLDEN_DIGEST[name]
 
 
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("form", sorted(FORMS))
+@pytest.mark.parametrize("name", sorted(BENCH_TINY))
+def test_bench_document_form(name, form, mode):
+    text = FORMS[form](yaml.safe_load(BENCH_TINY[name]))
+    assert text != BENCH_TINY[name]
+    sc, original = parse_config(text), parse_config(BENCH_TINY[name])
+    assert sc == original
+    digest = run(with_mode(original, mode).run_config).trace.digest
+    assert run(with_mode(sc, mode).run_config).trace.digest == digest
+
+
 def _with_inert_additions(text: str) -> str:
     """The scenario ``text`` with a traffic-free device in the area of its
     first fog node and a fog node in a new area, both first in the node
@@ -94,10 +115,10 @@ def _with_inert_additions(text: str) -> str:
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
 def test_inert_additions(name, mode):
-    base = with_mode(parse_config(SCENARIOS[name]), mode).run_config
-    grown = with_mode(parse_config(_with_inert_additions(SCENARIOS[name])), mode).run_config
+    base = with_mode(parse_config(DOCUMENTS[name]), mode).run_config
+    grown = with_mode(parse_config(_with_inert_additions(DOCUMENTS[name])), mode).run_config
     assert len(grown.topology.nodes) == len(base.topology.nodes) + 2
     before, after = run(base), run(grown)
     assert after.trace == before.trace
@@ -107,9 +128,9 @@ def test_inert_additions(name, mode):
 
 
 def _recorded(name: str, mode: Mode, text: str = ""):
-    """The run config of golden scenario ``name`` in ``mode``, recording
-    events, or of ``text`` instead if given."""
-    rc = with_mode(parse_config(text or SCENARIOS[name]), mode).run_config
+    """The run config of document ``name`` in ``mode``, recording events,
+    or of ``text`` instead if given."""
+    rc = with_mode(parse_config(text or DOCUMENTS[name]), mode).run_config
     return replace(rc, record_events=True)
 
 
@@ -119,7 +140,7 @@ def _order(values) -> list[int]:
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
 def test_horizon_prefix(name, mode):
     full_cfg = _recorded(name, mode)
     half = full_cfg.horizon_s / 2
@@ -167,9 +188,9 @@ def _process_messages(result, kinds_left_out) -> list[tuple[int, float]]:
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
 def test_appended_process(name, mode):
-    text, new_targets = _with_appended_processes(SCENARIOS[name])
+    text, new_targets = _with_appended_processes(DOCUMENTS[name])
     before = run(_recorded(name, mode))
     after = run(_recorded(name, mode, text))
     added = [m.src for m in after.messages.values() if _kind(m) == _NEW_KIND]

@@ -1,17 +1,22 @@
 """Scenario file parsing: schema, references, topology, and overrides."""
 
 import gc
-import importlib.util
 import json
 import sys
 import textwrap
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 import yaml
-from conftest import FINITE_FIELDS, NONFINITE_YAML, finite_field_scenario, nonfinite_line
+from conftest import (
+    BENCH_TINY,
+    FINITE_FIELDS,
+    NONFINITE_YAML,
+    bench_workloads,
+    finite_field_scenario,
+    nonfinite_line,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import SCENARIOS as GOLDEN_SCENARIOS
@@ -221,6 +226,7 @@ class TestSchemaErrors:
 
     def test_mixed_problems_keep_their_yaml_paths(self):
         # Mistyped and out-of-range fields in every section, in one pass.
+        # warmup_s is not compared with a horizon_s the document does not hold.
         text = textwrap.dedent(
             """
             run: {seed: -1, horizon_s: abc, warmup_s: 50}
@@ -252,7 +258,6 @@ class TestSchemaErrors:
             "models.tariff_per_kwh",
             "run.horizon_s",
             "run.seed",
-            "run.warmup_s",
             "topology.nodes[3].tier",
             "workload.arrival_processes[0].payload_kind",
             "workload.arrival_processes[0].rate_per_s",
@@ -319,6 +324,82 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError) as exc:
             parse_config(text)
         assert any("efficiency" in p for p in problems_of(exc))
+
+    @pytest.mark.parametrize(
+        "section, lines",
+        [
+            (
+                "run: {horizon_s: abc, warmup_s: 50}",
+                ["run.horizon_s: expected a number, got 'abc'"],
+            ),
+            (
+                "run: {horizon_s: 10, warmup_s: 50}",
+                ["run.warmup_s: must satisfy 0 <= warmup_s < horizon_s, got 50.0"],
+            ),
+            (
+                "run: {horizon_s: 10}\nmodels:\n  bess: {capacity_kwh: x, soc_kwh: 5}",
+                ["models.bess.capacity_kwh: expected a number, got 'x'"],
+            ),
+            (
+                "run: {horizon_s: 10}\nmodels:\n  bess: {capacity_kwh: 2, soc_kwh: 5}",
+                ["models.bess.soc_kwh: must be in [0, capacity_kwh], got 5.0"],
+            ),
+        ],
+        ids=["horizon-mistyped", "horizon-valid", "capacity-mistyped", "capacity-valid"],
+    )
+    def test_no_run_rule_on_a_failed_field(self, section, lines):
+        # warmup_s and soc_kwh are compared only with a horizon_s and a
+        # capacity_kwh the document holds.
+        text = MINIMAL.replace("run:\n  horizon_s: 1000.0", section)
+        with pytest.raises(SchemaError) as exc:
+            parse_config(text)
+        assert problems_of(exc) == lines
+
+    def test_record_lines(self):
+        # An unknown key, a mistyped field and a missing required field of
+        # each record kind; a spec has no required field.
+        text = textwrap.dedent(
+            """
+            run: {horizon_s: 10}
+            topology:
+              nodes:
+                - {id: 0, tier: cloud}
+                - {id: 1, tier: fog, area: 0, spec: {cores: two, speed: 9}}
+                - {id: 2, tier: device, area: 0}
+            models:
+              power_specs:
+                fog: {power_idle_mw: low, colour: red}
+              bess: {soc_kwh: full, volts: 12}
+              bess_charge_schedule:
+                - {energy_kwh: many, when: 3}
+            workload:
+              arrival_processes:
+                - {rate_per_s: 0.1, target: 2, size_bytes: big, burst: 1}
+              sessions:
+                - {vehicle_id: ev, outlet_meter: 2, energy_kwh: 1.0, start_s: soon, colour: 1}
+                - {vehicle_id: ev, start_s: 0.0, energy_kwh: 1.0}
+            """
+        )
+        with pytest.raises(SchemaError) as exc:
+            parse_config(text)
+        assert problems_of(exc) == [
+            "models.power_specs.fog.colour: unknown key",
+            "models.power_specs.fog.power_idle_mw: expected a number, got 'low'",
+            "models.bess.volts: unknown key",
+            "models.bess.capacity_kwh: required field is missing",
+            "models.bess.soc_kwh: expected a number, got 'full'",
+            "models.bess_charge_schedule[0].when: unknown key",
+            "models.bess_charge_schedule[0].at_s: required field is missing",
+            "models.bess_charge_schedule[0].energy_kwh: expected a number, got 'many'",
+            "topology.nodes[1].spec.speed: unknown key",
+            "topology.nodes[1].spec.cores: expected an integer, got 'two'",
+            "workload.arrival_processes[0].burst: unknown key",
+            "workload.arrival_processes[0].payload_kind: required field is missing",
+            "workload.arrival_processes[0].size_bytes: expected an integer, got 'big'",
+            "workload.sessions[0].colour: unknown key",
+            "workload.sessions[0].start_s: expected a number, got 'soon'",
+            "workload.sessions[1].outlet_meter: required field is missing",
+        ]
 
     def test_unclassified_payload_kind(self):
         text = MINIMAL + textwrap.dedent(
@@ -401,27 +482,6 @@ INVALID_YAML = [
     "a: *missing\n",
     "a: !!python/object:os.system x\n",
 ]
-
-WORKLOADS_PY = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-
-
-def _bench_workloads():
-    """bench/workloads.py, loaded without putting bench/ on the path (its
-    dataclass needs the module registered while it executes)."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PY)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads
-    try:
-        spec.loader.exec_module(workloads)
-    finally:
-        del sys.modules[spec.name]
-    return workloads
-
-
-BENCH_TINY = {
-    name: _bench_workloads().generate(name, 1, "tiny")
-    for name in ("metro-grid", "roaming-island")
-}
 
 #: Shapes the event walk leaves to PyYAML's own loader (and !!binary,
 #: which it builds through the loader's constructor).
@@ -616,7 +676,7 @@ class TestFlatBuild:
     def test_peak_memory_is_a_few_times_the_text(self):
         # A whole-document intermediate such as a node tree costs over 40
         # times the text; the walk holds one event beside the document.
-        text = _bench_workloads().generate("roaming-island", 1, "full")
+        text = bench_workloads().generate("roaming-island", 1, "full")
         _load(text)  # the first load compiles the resolver's patterns
         tracemalloc.start()
         try:
