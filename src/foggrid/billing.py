@@ -37,7 +37,7 @@ from .messages import (
     resolve_route,
     seal,
 )
-from .topology import NodeId, Tier, Topology
+from .topology import FLOAT_MAX, NodeId, Tier, Topology
 
 
 #: Payload bytes of the outlet's charge request and the owner's approval.
@@ -307,8 +307,8 @@ def meter_energy(
 
     Accepts AUTHORIZED (stepping through CHARGING) or CHARGING.
     """
-    if delivered_kwh < 0:
-        raise NegativeEnergy(f"delivered energy must be >= 0, got {shown(delivered_kwh)}")
+    if not 0 <= delivered_kwh <= FLOAT_MAX:
+        raise NegativeEnergy(f"delivered kWh must be finite and >= 0, got {shown(delivered_kwh)}")
     if s.state is SessionState.AUTHORIZED:
         s = s._advance(SessionState.CHARGING, started_at=at_s)
     return s._advance(SessionState.METERED, energy_kwh=delivered_kwh, ended_at=at_s)
@@ -318,8 +318,8 @@ def settle_bill(
     s: ChargingSession, tariff_per_kwh: float, registry: VehicleRegistry
 ) -> tuple[ChargingSession, BillRecord]:
     """Debit the metered energy to the vehicle owner's account."""
-    if tariff_per_kwh <= 0:
-        raise NonpositiveTariff(f"tariff must be positive, got {shown(tariff_per_kwh)}")
+    if not 0 < tariff_per_kwh <= FLOAT_MAX:
+        raise NonpositiveTariff(f"tariff must be finite and positive, got {shown(tariff_per_kwh)}")
     billed = s._advance(SessionState.BILLED)
     identity = registry.get(s.vehicle_id)
     if identity is None:

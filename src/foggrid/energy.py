@@ -46,9 +46,9 @@ def accrue_energy(
     Returns a new ledger; accrual is commutative and additive over
     disjoint intervals.
     """
-    if active_s < 0 or idle_s < 0:
+    if not (0 <= active_s <= FLOAT_MAX and 0 <= idle_s <= FLOAT_MAX):
         raise NegativeDuration(
-            f"durations must be nonnegative, got active={shown(active_s)} "
+            f"durations must be finite and nonnegative, got active={shown(active_s)} "
             f"idle={shown(idle_s)}"
         )
     added = active_s * spec.power_active_mw + idle_s * spec.power_idle_mw
@@ -70,8 +70,8 @@ class ProcessingModel:
 def processing_time(m: ProcessingModel, n: int) -> float:
     """Milliseconds to process a data set of size ``n``; T(1) = 0. Past
     the float range the time is ``inf``, as it already is for an ``n``
-    just inside it."""
-    if n < 1:
+    just inside it; a nan ``n`` is rejected."""
+    if not n >= 1:
         raise NonpositiveN(f"data-set size must be >= 1, got {shown(n)}")
     if n > FLOAT_MAX:  # an int ``n`` too large for a float
         return math.inf
@@ -90,8 +90,8 @@ class BessState:
 
 def bess_charge(b: BessState, energy_kwh: float) -> BessState:
     """Store ``energy_kwh * efficiency`` into the battery."""
-    if energy_kwh < 0:
-        raise ValueError(f"charge energy must be nonnegative, got {energy_kwh!r}")
+    if not 0 <= energy_kwh <= FLOAT_MAX:
+        raise ValueError(f"charge energy must be finite and >= 0, got {shown(energy_kwh)}")
     new_soc = b.soc_kwh + energy_kwh * b.efficiency
     if new_soc > b.capacity_kwh:
         raise OverCapacity(
@@ -104,16 +104,16 @@ def bess_charge(b: BessState, energy_kwh: float) -> BessState:
 def bess_charge_curtailed(b: BessState, energy_kwh: float) -> BessState:
     """Store ``energy_kwh * efficiency`` into the battery, curtailing
     whatever would exceed its capacity."""
-    if energy_kwh < 0:
-        raise ValueError(f"charge energy must be nonnegative, got {energy_kwh!r}")
+    if not 0 <= energy_kwh <= FLOAT_MAX:
+        raise ValueError(f"charge energy must be finite and >= 0, got {shown(energy_kwh)}")
     stored = min(energy_kwh * b.efficiency, b.capacity_kwh - b.soc_kwh)
     return BessState(b.capacity_kwh, b.soc_kwh + stored, b.efficiency)
 
 
 def bess_discharge(b: BessState, energy_kwh: float) -> BessState:
     """Draw ``energy_kwh`` from the battery."""
-    if energy_kwh < 0:
-        raise ValueError(f"discharge energy must be nonnegative, got {energy_kwh!r}")
+    if not 0 <= energy_kwh <= FLOAT_MAX:
+        raise ValueError(f"discharge energy must be finite and >= 0, got {shown(energy_kwh)}")
     new_soc = b.soc_kwh - energy_kwh
     if new_soc < 0:
         raise Underflow(

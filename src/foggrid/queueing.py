@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FogGridError, shown
-from .topology import NodeId
+from .topology import FLOAT_MAX, NodeId
 
 #: Floor used in the Little's Law residual denominator.
 RESIDUAL_EPS = 1e-12
@@ -53,12 +53,12 @@ class QueueStats:
 def mm1_analytic(lam: float, mu: float) -> MM1Metrics:
     """Closed-form M/M/1 metrics for arrival rate ``lam``, service rate ``mu``.
 
-    W = 1/(mu - lam), L = lam * W, rho = lam / mu. Requires lam < mu;
-    raises Unstable otherwise.
+    W = 1/(mu - lam), L = lam * W, rho = lam / mu. Requires a finite
+    mu > 0 and 0 <= lam < mu; raises Unstable for lam >= mu, at any size.
     """
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {shown(mu)}")
-    if lam < 0:
+    if not 0 < mu <= FLOAT_MAX:
+        raise ValueError(f"mu must be finite and positive, got {shown(mu)}")
+    if not lam >= 0:
         raise ValueError(f"lambda must be nonnegative, got {shown(lam)}")
     if lam >= mu:
         raise Unstable(f"lambda {shown(lam, str)} >= mu {shown(mu, str)}: queue diverges")
@@ -69,12 +69,12 @@ def mm1_analytic(lam: float, mu: float) -> MM1Metrics:
 def calibrate_service_rate(target_wait_s: float, lam: float) -> float:
     """The unique mu for which an M/M/1 queue at rate ``lam`` has mean
     sojourn ``target_wait_s``: mu = 1/target + lambda."""
-    if target_wait_s <= 0:
+    if not 0 < target_wait_s <= FLOAT_MAX:
         raise NonpositiveTarget(
-            f"target waiting time must be positive, got {shown(target_wait_s)}"
+            f"target waiting time must be finite and positive, got {shown(target_wait_s)}"
         )
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {shown(lam)}")
+    if not 0 <= lam <= FLOAT_MAX:
+        raise ValueError(f"lambda must be finite and nonnegative, got {shown(lam)}")
     return 1.0 / target_wait_s + lam
 
 

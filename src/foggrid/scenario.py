@@ -41,7 +41,8 @@ non-scalar keys, collection tags such as ``!!set``, unknown tags, a second
 document and every error load the text afresh with ``yaml.load``, so
 PyYAML reports every error in its own order; a scalar its explicit tag's
 constructor cannot read (``!!bool maybe``) is invalid YAML, as an
-impossible date is.
+impossible date is. A document nested deeper than ``MAX_DEPTH`` levels is
+a SchemaError, on either path, before the rest of it is read.
 
 YAML 1.1 quirk worth knowing: ``1e6`` reads as a string, not a float.
 Write ``1000000`` or ``1.0e+6``. Numbers must be finite: ``.inf`` and
@@ -135,6 +136,12 @@ _MAP_TAG = "tag:yaml.org,2002:map"
 _SEQ_TAG = "tag:yaml.org,2002:seq"
 #: A mapping's pending key before its key scalar arrives, and a memo miss.
 _NO_KEY = object()
+#: The deepest nesting of collections a document may have. libyaml and
+#: PyYAML's pure-Python scanner take time quadratic in the depth of flow
+#: collections to read their events, so a deeper document is rejected
+#: before more of its events are read.
+MAX_DEPTH = 100
+_TOO_DEEP = f"document: nested deeper than {MAX_DEPTH} levels"
 
 #: Fraction of the horizon discarded as warmup when warmup_s is omitted.
 DEFAULT_WARMUP_FRACTION = 0.01
@@ -348,16 +355,20 @@ class _Fallback(Exception):
 
 
 def _load(text: str) -> Any:
-    """``yaml.load(text, Loader=_LOADER)``, built by :func:`_walk`."""
+    """``yaml.load(text, Loader=_LOADER)``, built by :func:`_walk`; a
+    document nested deeper than MAX_DEPTH is a SchemaError."""
     loader = _LOADER(text)
     try:
         return _walk(loader)
+    except SchemaError:
+        raise
     except Exception:
         # A shape left to PyYAML, or an error, which PyYAML raises in its
         # own order: it composes a document before building any.
         pass
     finally:
         loader.dispose()
+    _check_depth(text)
     try:
         return yaml.load(text, Loader=_LOADER)
     except (KeyError, AttributeError, IndexError):
@@ -367,9 +378,29 @@ def _load(text: str) -> Any:
         raise ValueError("a scalar does not match its explicit tag") from None
 
 
+def _check_depth(text: str) -> None:
+    """Raise SchemaError if ``text`` nests collections deeper than
+    MAX_DEPTH, reading no event past that depth. Invalid YAML is left to
+    ``yaml.load``, which reports it in PyYAML's order."""
+    loader, depth = _LOADER(text), 0
+    try:
+        while (cls := loader.get_event().__class__) is not StreamEndEvent:
+            if cls is MappingStartEvent or cls is SequenceStartEvent:
+                depth += 1
+                if depth > MAX_DEPTH:
+                    raise SchemaError([_TOO_DEEP])
+            elif cls is MappingEndEvent or cls is SequenceEndEvent:
+                depth -= 1
+    except yaml.YAMLError:
+        pass
+    finally:
+        loader.dispose()
+
+
 def _walk(loader) -> Any:
-    """The loader's one document, built from its events on an explicit stack
-    (so any depth builds); raises _Fallback on a shape left to PyYAML."""
+    """The loader's one document, built from its events on an explicit stack;
+    raises _Fallback on a shape left to PyYAML, and SchemaError past
+    MAX_DEPTH."""
     get_event = loader.get_event
     memo = {}  # (text, implicit, tag) -> the scalar's value; every one is immutable
     get_event()  # StreamStartEvent
@@ -407,6 +438,8 @@ def _walk(loader) -> Any:
             key = _NO_KEY
         if cls is not ScalarEvent:
             stack.append((top, key))
+            if len(stack) > MAX_DEPTH:
+                raise SchemaError([_TOO_DEEP])
             top, key = value, _NO_KEY
     if get_event().__class__ is not StreamEndEvent:  # a second document
         raise _Fallback
@@ -603,10 +636,13 @@ def with_mode(sc: ScenarioConfig, mode: Mode) -> ScenarioConfig:
 
     The flipped topology must still validate (a fog-augmented run needs a
     fog node in every device area, which a cloud-only authored config may
-    lack). The flipped topology keeps the source's indexes and validation
-    report, so only the orphan-area rule is applied again.
+    lack). A topology already in ``mode`` is kept, with the report that
+    ``parse_config`` cached on it; a flipped one is a new instance, which
+    builds its own indexes and report.
     """
-    topo = sc.run_config.topology.with_mode(mode)
+    topo = sc.run_config.topology
+    if topo.mode is not mode:
+        topo = replace(topo, mode=mode)
     violations = validate_topology(topo)
     if violations:
         raise InvalidTopology(violations)

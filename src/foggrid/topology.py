@@ -11,7 +11,7 @@ violations as data rather than raising.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum, IntEnum
 from functools import cached_property
 from typing import Optional
@@ -152,12 +152,12 @@ class Node:
 class Topology:
     """A validated-or-not snapshot of the whole network.
 
-    ``cloud_id`` is derived from the nodes, not stored. It and the two
-    node lookup indexes are built on first use and kept for the life of
-    the instance (the fields are immutable, so they never go stale), and
-    so is the mode-independent part of the validation report.
-    :meth:`with_mode` hands all four to the flipped topology. The dict
-    returned by :meth:`by_id` is shared: do not mutate it.
+    ``cloud_id`` is derived from the nodes, not stored. It, the two node
+    lookup indexes and the validation report for this topology's mode are
+    built on first use and kept for the life of the instance (the fields
+    are immutable, so they never go stale). Nothing is shared across
+    instances: a copy made with ``dataclasses.replace`` builds its own.
+    The dict returned by :meth:`by_id` is shared: do not mutate it.
     """
 
     nodes: tuple[Node, ...]
@@ -186,20 +186,8 @@ class Topology:
         return index
 
     @cached_property
-    def _report(self) -> tuple[tuple[Violation, ...], ...]:
-        return _mode_free_report(self)
-
-    def with_mode(self, mode: Mode) -> Topology:
-        """This node set in ``mode``, sharing this topology's cloud id,
-        indexes and validation report (none of them depends on the mode)."""
-        flipped = replace(self, mode=mode)
-        flipped.__dict__.update(
-            cloud_id=self.cloud_id,
-            _by_id=self._by_id,
-            _fog_by_area=self._fog_by_area,
-            _report=self._report,
-        )
-        return flipped
+    def _report(self) -> tuple[Violation, ...]:
+        return _validate(self)
 
     def node(self, node_id: NodeId) -> Node:
         try:
@@ -249,148 +237,143 @@ SPEC_FIELDS = tuple(f.name for f in fields(DeviceSpec))
 
 def spec_violations(spec: DeviceSpec, owner: str) -> list[Violation]:
     """The spec rules for ``spec``, which ``owner`` names in each
-    violation, in this order: every field is finite; power_idle_mw is
-    >= 0 and every other field positive; power_idle_mw is at most
-    power_active_mw."""
-    report = []
+    violation, in the order of :func:`_spec_faults`."""
+    return [Violation(code, f"{owner}: {detail}") for code, detail in _spec_faults(spec)]
+
+
+def _spec_faults(spec: DeviceSpec) -> list[tuple[str, str]]:
+    """The code and detail of each spec rule ``spec`` breaks, in this
+    order: every field is finite; power_idle_mw is >= 0 and every other
+    field positive; power_idle_mw is at most power_active_mw."""
+    faults = []
     for name in SPEC_FIELDS:
         value = getattr(spec, name)
         if not -FLOAT_MAX <= value <= FLOAT_MAX:
             # An int is out of this range only beyond the float range.
             beyond = isinstance(value, int)
             detail = f"{name} is beyond the float range" if beyond else f"{name}={value!r}"
-            report.append(Violation("spec non-finite", f"{owner}: {detail}"))
+            faults.append(("spec non-finite", detail))
     for name in SPEC_FIELDS[:-1]:
         if getattr(spec, name) <= 0:
-            report.append(Violation("spec sign", f"{owner}: {name} must be positive"))
+            faults.append(("spec sign", f"{name} must be positive"))
     if spec.power_idle_mw < 0:
-        report.append(Violation("spec sign", f"{owner}: power_idle_mw must be >= 0"))
+        faults.append(("spec sign", "power_idle_mw must be >= 0"))
     if spec.power_idle_mw > spec.power_active_mw:
-        report.append(
-            Violation(
-                "spec power order",
-                f"{owner}: power_idle_mw {shown(spec.power_idle_mw)} exceeds "
-                f"power_active_mw {shown(spec.power_active_mw)}",
-            )
+        detail = (
+            f"power_idle_mw {shown(spec.power_idle_mw)} exceeds "
+            f"power_active_mw {shown(spec.power_active_mw)}"
         )
-    return report
+        faults.append(("spec power order", detail))
+    return faults
 
 
 def validate_topology(t: Topology) -> list[Violation]:
-    """Check every structural invariant of ``t``.
+    """Check every structural invariant of ``t`` in its mode.
 
     Returns one Violation per problem; an empty list means the topology is
-    well-formed. Pure: identical inputs yield identical reports. Only the
-    orphan-area rule depends on the mode, so the checks run once per node
-    set and each call applies that rule to the cached report.
+    well-formed. Pure: identical inputs yield identical reports. The report
+    is built by one pass over the nodes on the first call and cached on
+    ``t`` alone, never handed to another instance; each call returns a
+    fresh list.
     """
-    nodes, orphans, links = t._report
-    if t.mode is Mode.FOG_AUGMENTED:
-        return [*nodes, *orphans, *links]
-    return [*nodes, *links]
+    return list(t._report)
 
 
-def _mode_free_report(t: Topology) -> tuple[tuple[Violation, ...], ...]:
-    """The node checks, the orphan areas (a violation in fog-augmented
-    mode only) and the fog-link checks of ``t``, in report order."""
-    report: list[Violation] = []
-
+def _validate(t: Topology) -> tuple[Violation, ...]:
+    """The report of ``t``, in this order: each node's id and area ranges,
+    the cloud count, each node's role, area, service-rate and spec rules,
+    the gateways per area, the orphan areas (fog-augmented mode only) and
+    the fog links. A node's text is formatted only for a rule it breaks,
+    and the spec rules run once per distinct spec."""
+    ranges: list[Violation] = []
+    rules: list[Violation] = []
     seen: set[NodeId] = set()
-    for n in t.nodes:
-        node, area = shown(n.id), n.area
-        if n.id in seen:
-            report.append(Violation("duplicate id", f"node id {node} repeats"))
-        seen.add(n.id)
-        if n.id < 0:
-            report.append(Violation("negative id", f"node id {node}"))
-        elif n.id > FLOAT_MAX:
-            report.append(Violation("id range", f"node id {node} is beyond the float range"))
-        if area is not None and area < 0:
-            report.append(Violation("negative area", f"node {node} has area {shown(area)}"))
-        elif area is not None and area > FLOAT_MAX:
-            detail = f"node {node} has area {shown(area)} beyond the float range"
-            report.append(Violation("area range", detail))
-
-    clouds = [n for n in t.nodes if n.tier is Tier.CLOUD]
-    if len(clouds) != 1:
-        report.append(
-            Violation(
-                "cloud cardinality",
-                f"expected exactly one cloud node, found {len(clouds)} "
-                f"({shown([n.id for n in clouds])})",
-            )
-        )
-
-    for n in t.nodes:
-        if n.tier is Tier.FOG and n.role not in FOG_ROLES:
-            report.append(
-                Violation(
-                    "role tier mismatch",
-                    f"fog node {shown(n.id)} has role {n.role.value}; expected "
-                    "gateway or computing",
-                )
-            )
-        if n.tier is Tier.DEVICE and n.role not in DEVICE_ROLES:
-            report.append(
-                Violation(
-                    "role tier mismatch",
-                    f"device node {shown(n.id)} has role {n.role.value}; expected "
-                    "sensor, actuator, or connecting",
-                )
-            )
-        if n.tier is Tier.CLOUD and n.area is not None:
-            report.append(
-                Violation("cloud area", f"cloud node {shown(n.id)} must not have an area")
-            )
-        if n.tier is not Tier.CLOUD and n.area is None:
-            tier = n.tier.name.lower()
-            report.append(Violation("missing area", f"{tier} node {shown(n.id)} has no area"))
-        if not 0 < n.service_rate_per_s <= FLOAT_MAX:
-            report.append(
-                Violation(
-                    "service rate",
-                    f"node {shown(n.id)}: service_rate_per_s must be positive and "
-                    f"finite, got {shown(n.service_rate_per_s)}",
-                )
-            )
-        report.extend(spec_violations(n.spec, f"node {shown(n.id)}"))
-
+    clouds: list[NodeId] = []
     fog_by_area: dict[FogAreaId, list[NodeId]] = {}
+    unserved: list[Node] = []  # devices seen before any gateway of their area
+    faults: dict[DeviceSpec, list[tuple[str, str]]] = {}
+    fog_mode = t.mode is Mode.FOG_AUGMENTED
     for n in t.nodes:
-        if n.tier is Tier.FOG and n.area is not None:
-            fog_by_area.setdefault(n.area, []).append(n.id)
+        node_id, tier, area = n.id, n.tier, n.area
+        if node_id in seen:
+            ranges.append(Violation("duplicate id", f"node id {shown(node_id)} repeats"))
+        seen.add(node_id)
+        if node_id < 0:
+            ranges.append(Violation("negative id", f"node id {shown(node_id)}"))
+        elif node_id > FLOAT_MAX:
+            detail = f"node id {shown(node_id)} is beyond the float range"
+            ranges.append(Violation("id range", detail))
+        if area is not None and area < 0:
+            detail = f"node {shown(node_id)} has area {shown(area)}"
+            ranges.append(Violation("negative area", detail))
+        elif area is not None and area > FLOAT_MAX:
+            detail = f"node {shown(node_id)} has area {shown(area)} beyond the float range"
+            ranges.append(Violation("area range", detail))
+
+        if tier is Tier.CLOUD:
+            clouds.append(node_id)
+            if area is not None:
+                detail = f"cloud node {shown(node_id)} must not have an area"
+                rules.append(Violation("cloud area", detail))
+        else:
+            if tier is Tier.FOG and n.role not in FOG_ROLES:
+                expected = "gateway or computing"
+            elif tier is Tier.DEVICE and n.role not in DEVICE_ROLES:
+                expected = "sensor, actuator, or connecting"
+            else:
+                expected = None
+            if expected is not None:
+                detail = (
+                    f"{tier.name.lower()} node {shown(node_id)} has role "
+                    f"{n.role.value}; expected {expected}"
+                )
+                rules.append(Violation("role tier mismatch", detail))
+            if area is None:
+                detail = f"{tier.name.lower()} node {shown(node_id)} has no area"
+                rules.append(Violation("missing area", detail))
+            elif tier is Tier.FOG:
+                fog_by_area.setdefault(area, []).append(node_id)
+            elif fog_mode and tier is Tier.DEVICE and area not in fog_by_area:
+                unserved.append(n)
+        if not 0 < n.service_rate_per_s <= FLOAT_MAX:
+            detail = (
+                f"node {shown(node_id)}: service_rate_per_s must be positive and "
+                f"finite, got {shown(n.service_rate_per_s)}"
+            )
+            rules.append(Violation("service rate", detail))
+        spec_faults = faults.get(n.spec)
+        if spec_faults is None:
+            spec_faults = faults[n.spec] = _spec_faults(n.spec)
+        for code, detail in spec_faults:
+            rules.append(Violation(code, f"node {shown(node_id)}: {detail}"))
+
+    report = ranges
+    if len(clouds) != 1:
+        detail = f"expected exactly one cloud node, found {len(clouds)} ({shown(clouds)})"
+        report.append(Violation("cloud cardinality", detail))
+    report += rules
     for area, ids in sorted(fog_by_area.items()):
         if len(ids) > 1:
-            report.append(
-                Violation(
-                    "fog cardinality",
-                    f"area {shown(area)} has {len(ids)} fog nodes ({shown(ids)}); expected one",
-                )
-            )
+            detail = f"area {shown(area)} has {len(ids)} fog nodes ({shown(ids)}); expected one"
+            report.append(Violation("fog cardinality", detail))
+    for n in unserved:
+        if n.area not in fog_by_area:
+            detail = f"device {shown(n.id)} is in area {shown(n.area)}, which has no fog node"
+            report.append(Violation("orphan area", detail))
 
-    orphans = tuple(
-        Violation(
-            "orphan area",
-            f"device {shown(n.id)} is in area {shown(n.area)}, which has no fog node",
-        )
-        for n in t.nodes
-        if n.tier is Tier.DEVICE and n.area is not None and n.area not in fog_by_area
-    )
-
-    links: list[Violation] = []
     by_id = t.by_id()
     for link in sorted(t.fog_links, key=sorted):
         ids = sorted(link)
         if len(ids) != 2:
-            links.append(Violation("self link", f"fog link {shown(ids)} joins a node to itself"))
+            report.append(Violation("self link", f"fog link {shown(ids)} joins a node to itself"))
             continue
         a, b = map(shown, ids)
         for end, shown_end in zip(ids, (a, b)):
             if end not in by_id:
                 detail = f"fog link ({a}, {b}) references unknown node {shown_end}"
-                links.append(Violation("dangling link", detail))
+                report.append(Violation("dangling link", detail))
             elif by_id[end].tier is not Tier.FOG:
-                links.append(
+                report.append(
                     Violation(
                         "link tier",
                         f"fog link ({a}, {b}) endpoint {shown_end} is "
@@ -398,4 +381,4 @@ def _mode_free_report(t: Topology) -> tuple[tuple[Violation, ...], ...]:
                     )
                 )
 
-    return tuple(report), orphans, tuple(links)
+    return tuple(report)

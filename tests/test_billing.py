@@ -1,7 +1,7 @@
 """Roaming-charge session state machine and settlement."""
 
 import pytest
-from conftest import grid_topology
+from conftest import device_node, grid_topology, make_topology
 
 from foggrid import (
     CHARGE_REQUEST,
@@ -132,6 +132,16 @@ class TestResolveOwner:
         assert s.state is SessionState.REJECTED
         assert route is None
         assert "ghost" in s.reject_reason
+
+    def test_owner_in_an_area_without_a_gateway_is_rejected(self):
+        # Meter 9 sits in area 5, which no fog gateway serves.
+        topology = make_topology([*TOPOLOGY.nodes, device_node(9, area=5)])
+        registry = {"ev-9": MeterIdentity(meter=9, owner_account="acct-9")}
+        s = initiate_session(1, "ev-9", 3, registry, topology)
+        s, route = resolve_owner(s, registry, topology)
+        assert s.state is SessionState.REJECTED
+        assert route is None
+        assert "area 5" in s.reject_reason
 
     def test_vehicle_at_its_own_meter_needs_no_message(self):
         s = initiate_session(1, "ev-2", 3, REGISTRY, TOPOLOGY)

@@ -1026,3 +1026,57 @@ def test_typed_error_shows_an_integer_too_long_to_print(name):
     with pytest.raises(error) as exc:
         call()
     assert "integer of 16,610 bits" in str(exc.value)
+
+
+def _bess():
+    return BessState(capacity_kwh=10.0, soc_kwh=5.0)
+
+
+def _accrue(active_s, idle_s):
+    ledger, spec = foggrid.EnergyLedger(1), foggrid.default_fog_spec()
+    return foggrid.accrue_energy(ledger, spec, active_s, idle_s)
+
+
+#: (typed error, call of one number) of each helper argument whose rule is
+#: a finite range. Beyond the float range mm1_analytic's lam is Unstable
+#: (lam >= mu, a HUGE_CALLS case) and processing_time is inf, so those two
+#: take nan only.
+RANGE_CALLS = {
+    "bess_charge": (ValueError, lambda x: foggrid.bess_charge(_bess(), x)),
+    "bess_charge_curtailed": (ValueError, lambda x: foggrid.bess_charge_curtailed(_bess(), x)),
+    "bess_discharge": (ValueError, lambda x: foggrid.bess_discharge(_bess(), x)),
+    "accrue_energy-active": (foggrid.NegativeDuration, lambda x: _accrue(x, 0.0)),
+    "accrue_energy-idle": (foggrid.NegativeDuration, lambda x: _accrue(0.0, x)),
+    "meter_energy": (foggrid.NegativeEnergy, lambda x: foggrid.meter_energy(_session(), x)),
+    "settle_bill": (
+        foggrid.NonpositiveTariff,
+        lambda x: foggrid.settle_bill(_metered(1), x, _REGISTRY),
+    ),
+    "mm1_analytic-mu": (ValueError, lambda x: mm1_analytic(1.0, x)),
+    "mm1_analytic-lam": (ValueError, lambda x: mm1_analytic(x, 1.0)),
+    "calibrate_service_rate-target": (
+        foggrid.NonpositiveTarget,
+        lambda x: foggrid.calibrate_service_rate(x, 0.1),
+    ),
+    "calibrate_service_rate-lam": (ValueError, lambda x: foggrid.calibrate_service_rate(1.0, x)),
+    "processing_time": (
+        foggrid.NonpositiveN,
+        lambda x: foggrid.processing_time(foggrid.ProcessingModel(), x),
+    ),
+}
+_NAN_ONLY = ("mm1_analytic-lam", "processing_time")
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        pytest.param(name, value, id=f"{name}-{label}")
+        for name in RANGE_CALLS
+        for label, value in (("nan", float("nan")), ("inf", float("inf")), ("huge", HUGE))
+        if label == "nan" or name not in _NAN_ONLY
+    ],
+)
+def test_argument_beyond_its_finite_range_raises_the_typed_error(name, value):
+    error, call = RANGE_CALLS[name]
+    with pytest.raises(error):
+        call(value)

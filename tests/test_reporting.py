@@ -230,6 +230,17 @@ class TestComparison:
             == comparison.fog.total_message_bytes
         )
 
+    def test_no_serving_samples_compare_as_na(self, tmp_path):
+        comparison = compare_frameworks(parse_config(EMPTY_SCENARIO))
+        assert comparison.delta_mean_wait_s is None
+        lines = emit_comparison(comparison, tmp_path / "cmp")[-1].read_text().splitlines()
+        assert "delta_mean_wait_s: n/a" in lines
+
+    def test_unwritable_comparison(self, comparison, tmp_path):
+        (tmp_path / "cmp" / "comparison.txt").mkdir(parents=True)
+        with pytest.raises(IoFailure):
+            emit_comparison(comparison, tmp_path / "cmp")
+
     def test_emit_comparison_layout(self, comparison, tmp_path):
         paths = emit_comparison(comparison, tmp_path / "cmp")
         names = [str(p.relative_to(tmp_path / "cmp")) for p in paths]

@@ -2,8 +2,8 @@
 
 import gc
 import json
-import sys
 import textwrap
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -41,7 +41,7 @@ from foggrid import (
     with_overrides,
 )
 from foggrid.cli import EXIT_CONFIG, EXIT_OK, main
-from foggrid.scenario import _LOADER, _load
+from foggrid.scenario import _LOADER, MAX_DEPTH, _load
 
 MINIMAL = textwrap.dedent(
     """
@@ -419,6 +419,22 @@ class TestSchemaErrors:
             parse_config(text)
         assert any("expected one of" in p for p in problems_of(exc))
 
+    @pytest.mark.parametrize(
+        "section, line",
+        [
+            ("classification: {1: private}", "workload.classification: kind 1 must be a string"),
+            (
+                "vehicle_registry: {1: {meter: 2}}",
+                "workload.vehicle_registry: vehicle id 1 must be a string",
+            ),
+        ],
+        ids=["classification", "vehicle_registry"],
+    )
+    def test_workload_keys_must_be_strings(self, section, line):
+        with pytest.raises(SchemaError) as exc:
+            parse_config(MINIMAL + f"workload:\n  {section}\n")
+        assert problems_of(exc) == [line]
+
     def test_malformed_fog_link(self):
         text = MINIMAL.replace(
             "topology:", "topology:\n  fog_links:\n    - [1]"
@@ -660,18 +676,28 @@ class TestFlatBuild:
         mapping = _load(FALLBACK_SHAPES["recursive-map"])["a"]
         assert mapping["self"] is mapping
 
-    def test_nesting_deeper_than_the_recursion_limit(self, loader):
-        # Too deep for a recursive walk, and for the pure-Python composer;
-        # the event walk keeps its own stack. PyYAML's pure-Python scanner
-        # takes time quadratic in the depth (6 s for 3,000 levels), so it
-        # gets a depth just past the recursion limit.
-        depth = sys.getrecursionlimit() + 200 if loader is yaml.SafeLoader else 3000
-        text = "a: " + "[" * depth + "]" * depth + "\n"
+    @pytest.mark.parametrize("anchor", ["", "&a "], ids=["walked", "fallback"])
+    def test_nesting_up_to_the_limit_builds(self, anchor, loader):
+        depth = MAX_DEPTH - 1  # inside the top-level mapping
+        text = "a: " + anchor + "[" * depth + "]" * depth + "\n"
         doc = _load(text)["a"]
         for _ in range(depth - 1):
             assert type(doc) is list and len(doc) == 1
             doc = doc[0]
         assert doc == []
+        deeper = "a: " + anchor + "[" * (depth + 1) + "]" * (depth + 1) + "\n"
+        assert _schema_lines(deeper) == [f"document: nested deeper than {MAX_DEPTH} levels"]
+
+    @pytest.mark.parametrize("anchor", ["", "&a "], ids=["walked", "fallback"])
+    def test_deeper_nesting_is_rejected_before_the_rest_is_read(self, anchor, loader):
+        # Reading every event of 40,000 flow levels takes libyaml seconds.
+        # PyYAML's pure-Python scanner looks 1,024 characters ahead for a
+        # possible simple key, at a cost that grows with the open flow
+        # levels: 0.3-0.45 s before level 101 on a 2-core Xeon VM.
+        text = "run: " + anchor + "[" * 40_000 + "]" * 40_000 + "\n"
+        start = time.perf_counter()
+        assert _schema_lines(text) == [f"document: nested deeper than {MAX_DEPTH} levels"]
+        assert time.perf_counter() - start < (2.0 if loader is yaml.SafeLoader else 0.5)
 
     def test_peak_memory_is_a_few_times_the_text(self):
         # A whole-document intermediate such as a node tree costs over 40
@@ -933,6 +959,12 @@ class TestTopologyStage:
             ),
             _node_case("fog-area", "negative area: node 2 has area -1", tier="fog", area=-1),
             _node_case(
+                "device-role",
+                "role tier mismatch: device node 2 has role gateway; expected sensor, "
+                "actuator, or connecting",
+                role="gateway",
+            ),
+            _node_case(
                 "rate",
                 "service rate: node 2: service_rate_per_s must be positive and finite, got 0.0",
                 tier="fog",
@@ -1189,25 +1221,38 @@ class TestValidationOnce:
     def test_with_mode_keeps_the_id_index(self, mode):
         sc = parse_config(FULL)
         flipped = with_mode(sc, mode).run_config.topology
-        assert flipped.by_id() is sc.run_config.topology.by_id()
+        assert flipped.by_id() == sc.run_config.topology.by_id()
         assert flipped.mode is mode
 
-    def test_one_spec_check_per_node_per_compare(self, tmp_path, monkeypatch):
-        owners = []
-        spec_violations = topology_module.spec_violations
-        monkeypatch.setattr(
-            topology_module,
-            "spec_violations",
-            lambda spec, owner: owners.append(owner) or spec_violations(spec, owner),
-        )
+    def test_one_report_per_topology_per_compare(self, tmp_path, monkeypatch):
+        # Each report runs the spec rules once per distinct spec, and any
+        # later validate_topology call on its topology reads the cache.
+        reports = []
+        validate, spec_faults = topology_module._validate, topology_module._spec_faults
+
+        def counted(t):
+            checked = []
+            reports.append((t, checked))
+            with monkeypatch.context() as m:
+                m.setattr(
+                    topology_module,
+                    "_spec_faults",
+                    lambda spec: checked.append(spec) or spec_faults(spec),
+                )
+                return validate(t)
+
+        monkeypatch.setattr(topology_module, "_validate", counted)
         scenario_file = tmp_path / "scenario.yaml"
         scenario_file.write_text(GOLDEN_SCENARIOS["fog-roaming"], encoding="utf-8")
         code = main(
             ["compare", str(scenario_file), "--horizon", "100", "--out", str(tmp_path / "out")]
         )
         assert code == EXIT_OK
-        checked = [int(owner.removeprefix("node ")) for owner in owners if owner.startswith("node ")]
-        assert sorted(checked) == list(range(9))
+        assert sorted(t.mode.value for t, _ in reports) == sorted(m.value for m in Mode)
+        for t, checked in reports:
+            assert len(checked) == len(set(checked)) == len({n.spec for n in t.nodes}) > 1
+            assert topology_module.validate_topology(t) == []
+        assert len(reports) == 2
 
 
 class TestLoadConfig:
