@@ -34,14 +34,14 @@ installed PyYAML was built with libyaml, and by the pure-Python
 so equal documents, and invalid-YAML messages at the same line and column
 in libyaml's words (e.g. "did not find expected ',' or ']'").
 :func:`_walk` builds dicts and lists from the loader's events as they
-arrive, so no node tree is ever held, and each scalar by the loader's own
+arrive, so no node tree is ever held: each scalar by the loader's own
 constructor for its tag, as the loader's resolver finds it (once per
-distinct scalar of a document). Anchors, aliases, ``<<`` and ``=`` keys,
-non-scalar keys, collection tags such as ``!!set``, unknown tags, a second
-document and every error load the text afresh with ``yaml.load``, so
-PyYAML reports every error in its own order; a scalar its explicit tag's
-constructor cannot read (``!!bool maybe``) is invalid YAML, as an
-impossible date is. A document nested deeper than ``MAX_DEPTH`` levels is
+distinct scalar of a document), and each alias as its anchor's value.
+``<<`` and ``=`` keys, non-scalar keys, collection tags such as ``!!set``,
+unknown tags, a second document, a scalar its constructor rejects
+(``!!bool maybe``, an impossible date) and every error load the text
+afresh with ``yaml.load``, which reports errors in PyYAML's own order; such a
+text is read twice. A document nested deeper than ``MAX_DEPTH`` levels is
 a SchemaError, on either path, before the rest of it is read.
 
 YAML 1.1 quirk worth knowing: ``1e6`` reads as a string, not a float.
@@ -67,8 +67,8 @@ from dataclasses import MISSING, dataclass, fields, replace
 from typing import Any, Optional, get_type_hints
 
 import yaml
-from yaml.events import DocumentEndEvent, MappingEndEvent, MappingStartEvent, ScalarEvent
-from yaml.events import SequenceEndEvent, SequenceStartEvent, StreamEndEvent
+from yaml.events import AliasEvent, DocumentEndEvent, MappingEndEvent, MappingStartEvent
+from yaml.events import ScalarEvent, SequenceEndEvent, SequenceStartEvent, StreamEndEvent
 from yaml.nodes import ScalarNode
 
 from .billing import MeterIdentity
@@ -142,6 +142,8 @@ _NO_KEY = object()
 #: before more of its events are read.
 MAX_DEPTH = 100
 _TOO_DEEP = f"document: nested deeper than {MAX_DEPTH} levels"
+#: The change in depth at each collection event.
+_LEVELS = {MappingStartEvent: 1, SequenceStartEvent: 1, MappingEndEvent: -1, SequenceEndEvent: -1}
 
 #: Fraction of the horizon discarded as warmup when warmup_s is omitted.
 DEFAULT_WARMUP_FRACTION = 0.01
@@ -362,13 +364,10 @@ def _load(text: str) -> Any:
         return _walk(loader)
     except SchemaError:
         raise
-    except Exception:
-        # A shape left to PyYAML, or an error, which PyYAML raises in its
-        # own order: it composes a document before building any.
+    except Exception:  # a shape or an error left to PyYAML, to raise in its own order
         pass
     finally:
         loader.dispose()
-    _check_depth(text)
     try:
         return yaml.load(text, Loader=_LOADER)
     except (KeyError, AttributeError, IndexError):
@@ -378,84 +377,84 @@ def _load(text: str) -> Any:
         raise ValueError("a scalar does not match its explicit tag") from None
 
 
-def _check_depth(text: str) -> None:
-    """Raise SchemaError if ``text`` nests collections deeper than
-    MAX_DEPTH, reading no event past that depth. Invalid YAML is left to
-    ``yaml.load``, which reports it in PyYAML's order."""
-    loader, depth = _LOADER(text), 0
-    try:
-        while (cls := loader.get_event().__class__) is not StreamEndEvent:
-            if cls is MappingStartEvent or cls is SequenceStartEvent:
-                depth += 1
-                if depth > MAX_DEPTH:
-                    raise SchemaError([_TOO_DEEP])
-            elif cls is MappingEndEvent or cls is SequenceEndEvent:
-                depth -= 1
-    except yaml.YAMLError:
-        pass
-    finally:
-        loader.dispose()
-
-
 def _walk(loader) -> Any:
     """The loader's one document, built from its events on an explicit stack;
-    raises _Fallback on a shape left to PyYAML, and SchemaError past
-    MAX_DEPTH."""
+    raises SchemaError past MAX_DEPTH. On a shape left to PyYAML it reads on
+    to the end, counting depth only, and raises _Fallback; a loader error is
+    raised at once (libyaml's parser then returns None forever)."""
     get_event = loader.get_event
     memo = {}  # (text, implicit, tag) -> the scalar's value; every one is immutable
+    anchors = {}  # anchor -> its value, from the anchored event on
     get_event()  # StreamStartEvent
     if get_event().__class__ is StreamEndEvent:  # else DocumentStartEvent
         return None
     root = top = []  # the document's holder, then the innermost open collection
     key, stack = _NO_KEY, []  # top's pending key; each enclosing collection and key
-    while (event := get_event()).__class__ is not DocumentEndEvent:
-        cls = event.__class__
-        if cls is MappingEndEvent or cls is SequenceEndEvent:
-            top, key = stack.pop()
-            continue
-        if cls is ScalarEvent:
-            memo_key = (event.value, event.implicit, event.tag)
-            value = memo.get(memo_key, _NO_KEY)
-            if value is _NO_KEY:
-                value = memo[memo_key] = _scalar(loader, event)
-        elif cls is MappingStartEvent and event.tag in (None, "!", _MAP_TAG):
-            value = {}
-        elif cls is SequenceStartEvent and event.tag in (None, "!", _SEQ_TAG):
-            value = []
-        else:  # an alias, or a collection tag other than map or seq
-            raise _Fallback
-        if event.anchor is not None:
-            raise _Fallback
-        if top.__class__ is list:
-            top.append(value)
-        elif key is _NO_KEY:
-            if cls is not ScalarEvent:  # a collection as a key
+    try:
+        while (event := get_event()).__class__ is not DocumentEndEvent:
+            cls = event.__class__
+            if cls is MappingEndEvent or cls is SequenceEndEvent:
+                top, key = stack.pop()
+                continue
+            if cls is ScalarEvent:
+                memo_key = (event.value, event.implicit, event.tag)
+                value = memo.get(memo_key, _NO_KEY)
+                if value is _NO_KEY:
+                    value = memo[memo_key] = _scalar(loader, event)
+            elif cls is MappingStartEvent and event.tag in (None, "!", _MAP_TAG):
+                value = {}
+            elif cls is SequenceStartEvent and event.tag in (None, "!", _SEQ_TAG):
+                value = []
+            elif cls is AliasEvent and event.anchor in anchors:
+                value = anchors[event.anchor]
+                if value.__hash__ is None and key is _NO_KEY and top.__class__ is dict:
+                    raise _Fallback  # an aliased collection as a key
+                cls = ScalarEvent  # placed as a scalar is: it opens no level
+            else:  # an undefined alias, or a collection tag other than map or seq
                 raise _Fallback
-            key = value
-            continue
-        else:
-            top[key] = value
-            key = _NO_KEY
-        if cls is not ScalarEvent:
-            stack.append((top, key))
-            if len(stack) > MAX_DEPTH:
-                raise SchemaError([_TOO_DEEP])
-            top, key = value, _NO_KEY
-    if get_event().__class__ is not StreamEndEvent:  # a second document
-        raise _Fallback
+            if event.anchor is not None and event.__class__ is not AliasEvent:
+                if event.anchor in anchors:  # a duplicate anchor
+                    raise _Fallback
+                anchors[event.anchor] = value
+            if top.__class__ is list:
+                top.append(value)
+            elif key is _NO_KEY:
+                if cls is not ScalarEvent:  # a collection as a key
+                    raise _Fallback
+                key = value
+                continue
+            else:
+                top[key] = value
+                key = _NO_KEY
+            if cls is not ScalarEvent:
+                stack.append((top, key))
+                if len(stack) > MAX_DEPTH:
+                    raise SchemaError([_TOO_DEEP])
+                top, key = value, _NO_KEY
+        if (event := get_event()).__class__ is not StreamEndEvent:  # a second document
+            raise _Fallback
+    except _Fallback:
+        depth = len(stack)  # the levels open below the event that stopped the walk
+        while event.__class__ is not StreamEndEvent:
+            depth += _LEVELS.get(event.__class__, 0)
+            if depth > MAX_DEPTH:
+                raise SchemaError([_TOO_DEEP]) from None
+            event = get_event()
+        raise
     return root[0]
 
 
 def _scalar(loader, event) -> Any:
     """A scalar event's value, by the loader's constructor for its tag as the
-    loader resolves it; raises _Fallback if there is none."""
+    loader resolves it; raises _Fallback if there is none, or if it rejects
+    the text (which ``yaml.load`` reports, after any syntax error)."""
     tag, text = event.tag, event.value
     if tag is None or tag == "!":
         tag = loader.resolve(ScalarNode, text, event.implicit)
-    construct = _SCALAR_CONSTRUCTORS.get(tag)
-    if construct is None:
-        raise _Fallback
-    return construct(loader, ScalarNode(tag, text))
+    try:
+        return _SCALAR_CONSTRUCTORS[tag](loader, ScalarNode(tag, text))
+    except Exception:
+        raise _Fallback from None
 
 
 def load_config(path) -> ScenarioConfig:

@@ -497,23 +497,16 @@ INVALID_YAML = [
     "a: 1\n---\nb: 2\n",
     "a: *missing\n",
     "a: !!python/object:os.system x\n",
+    "a: &x 1\nb: &x 2\n",
 ]
 
-#: Shapes the event walk leaves to PyYAML's own loader (and !!binary,
-#: which it builds through the loader's constructor).
+#: Shapes the event walk leaves to PyYAML's own loader.
 FALLBACK_SHAPES = {
-    "alias-scalar": "a: &s text\nb: *s\n",
-    "alias-int": "a: &n 123456789\nb: *n\n",
-    "alias-map": "a: &m {x: 1, y: [2]}\nb: *m\n",
-    "alias-seq": "a: &q [1, {z: 2}]\nb: *q\n",
     "merge": "base: &b {x: 1, y: 2}\nderived: {<<: *b, y: 3}\n",
     "merge-inline": "d: {<<: {x: 1}, y: 2}\n",
-    "recursive-seq": "a: &r [1, *r]\n",
-    "recursive-map": "a: &r {self: *r}\n",
     "set": "a: !!set {x, y}\n",
     "omap": "a: !!omap [{x: 1}, {y: 2}]\n",
     "pairs": "a: !!pairs [{x: 1}, {x: 2}]\n",
-    "binary": "a: !!binary aGVsbG8=\n",
     "sequence-key": "? [1, 2]\n: v\n",
     "mapping-key": "? {k: 1}\n: v\n",
     "value-key": "{=: 1, b: 2}\n",
@@ -524,7 +517,10 @@ FALLBACK_SHAPES = {
     "seq-tag-on-scalar": "a: !!seq x\n",
     "two-bad-scalars": "a: [!!int x]\nb: !!float y\n",
     "second-document": "a: 1\n---\nb: 2\n",
-    "unaliased-anchor": "a: &m {x: 1}\nb: 2\n",
+    # PyYAML: "found unhashable key", at the anchored collection.
+    "aliased-collection-key": "a: &q [1]\n? *q\n: v\n",
+    # PyYAML: "found duplicate anchor".
+    "duplicate-anchor": "a: &x 1\nb: &x 2\n",
 }
 
 #: Shapes the event walk builds itself.
@@ -534,6 +530,15 @@ WALKED_SHAPES = {
     # The scalar memo keys on the text and how it was written (plain,
     # quoted or tagged), so a quoted or explicitly tagged 1 stays a string.
     "memoised-scalars": "a: 1\nb: '1'\nc: !!str 1\nd: 1\ne: [1, '1', !!str 1, \"1\", 1]\n",
+    "binary": "a: !!binary aGVsbG8=\n",
+    "alias-scalar": "a: &s text\nb: *s\n",
+    "alias-int": "a: &n 123456789\nb: *n\n",
+    "alias-map": "a: &m {x: 1, y: [2]}\nb: *m\n",
+    "alias-seq": "a: &q [1, {z: 2}]\nb: *q\n",
+    "alias-key": "a: &k x\n*k : 1\n",
+    "recursive-seq": "a: &r [1, *r]\n",
+    "recursive-map": "a: &r {self: *r}\n",
+    "unaliased-anchor": "a: &m {x: 1}\nb: 2\n",
 }
 
 #: Each loader ``_load`` may run on: libyaml's, where PyYAML has it, and
@@ -585,6 +590,28 @@ def _schema_lines(text):
     with pytest.raises(SchemaError) as exc:
         parse_config(text)
     return problems_of(exc)
+
+
+def _anchored(text, shared):
+    """A bench document as it is (``nothing``), with its run block anchored
+    (``run``), or with one fog spec anchored and aliased by every other fog
+    node (``fog-spec``)."""
+    if shared == "run":
+        return text.replace("run:\n", "run: &r\n", 1)
+    if shared == "fog-spec":
+        text = text.replace("tier: fog, ", "tier: fog, spec: *f, ")
+        return text.replace("spec: *f", "spec: &f {power_active_mw: 199.0}", 1)
+    return text
+
+
+#: How a document starts before its nested sequence under ``a``: plain, so
+#: the walk builds it; anchored, which the walk builds too; and after a
+#: ``<<`` key, where the walk stops at a scalar and reads on to count depth.
+NESTING_HEADS = {
+    "walked": "a: ",
+    "anchored": "a: &a ",
+    "fallback-at-a-scalar": "m: {<<: {}}\na: ",
+}
 
 
 class TestLoader:
@@ -666,43 +693,57 @@ class TestFlatBuild:
 
     @pytest.mark.parametrize("name", ["alias-scalar", "alias-map", "alias-seq"])
     def test_aliases_keep_identity(self, name):
-        doc = _load(FALLBACK_SHAPES[name])
-        assert doc == _stock(FALLBACK_SHAPES[name])
+        doc = _load(WALKED_SHAPES[name])
+        assert doc == _stock(WALKED_SHAPES[name])
         assert doc["b"] is doc["a"]
 
     def test_recursive_aliases(self):
-        seq = _load(FALLBACK_SHAPES["recursive-seq"])["a"]
+        seq = _load(WALKED_SHAPES["recursive-seq"])["a"]
         assert seq[0] == 1 and seq[1] is seq
-        mapping = _load(FALLBACK_SHAPES["recursive-map"])["a"]
+        mapping = _load(WALKED_SHAPES["recursive-map"])["a"]
         assert mapping["self"] is mapping
 
-    @pytest.mark.parametrize("anchor", ["", "&a "], ids=["walked", "fallback"])
-    def test_nesting_up_to_the_limit_builds(self, anchor, loader):
+    @pytest.mark.parametrize("head", NESTING_HEADS.values(), ids=NESTING_HEADS)
+    def test_nesting_up_to_the_limit_builds(self, head, loader):
         depth = MAX_DEPTH - 1  # inside the top-level mapping
-        text = "a: " + anchor + "[" * depth + "]" * depth + "\n"
+        text = head + "[" * depth + "]" * depth + "\n"
         doc = _load(text)["a"]
         for _ in range(depth - 1):
             assert type(doc) is list and len(doc) == 1
             doc = doc[0]
         assert doc == []
-        deeper = "a: " + anchor + "[" * (depth + 1) + "]" * (depth + 1) + "\n"
+        deeper = head + "[" * (depth + 1) + "]" * (depth + 1) + "\n"
         assert _schema_lines(deeper) == [f"document: nested deeper than {MAX_DEPTH} levels"]
 
-    @pytest.mark.parametrize("anchor", ["", "&a "], ids=["walked", "fallback"])
-    def test_deeper_nesting_is_rejected_before_the_rest_is_read(self, anchor, loader):
+    def test_depth_counts_the_level_that_stopped_the_walk(self, loader):
+        # The walk stops at the !!omap sequence, which opens the 101st level.
+        text = "a: !!omap " + "[" * MAX_DEPTH + "]" * MAX_DEPTH + "\n"
+        assert _schema_lines(text) == [f"document: nested deeper than {MAX_DEPTH} levels"]
+        shallower = "a: !!omap " + "[" * (MAX_DEPTH - 1) + "]" * (MAX_DEPTH - 1) + "\n"
+        assert _outcome(_load, shallower) == _outcome(_stock, shallower)
+        assert _outcome(_load, shallower)[0] is yaml.constructor.ConstructorError
+
+    @pytest.mark.parametrize(
+        "head",
+        [*NESTING_HEADS.values(), "m: !!int x\na: ", "a: !!omap "],
+        ids=[*NESTING_HEADS, "fallback-at-a-rejected-scalar", "fallback-at-a-collection"],
+    )
+    def test_deeper_nesting_is_rejected_before_the_rest_is_read(self, head, loader):
         # Reading every event of 40,000 flow levels takes libyaml seconds.
         # PyYAML's pure-Python scanner looks 1,024 characters ahead for a
         # possible simple key, at a cost that grows with the open flow
         # levels: 0.3-0.45 s before level 101 on a 2-core Xeon VM.
-        text = "run: " + anchor + "[" * 40_000 + "]" * 40_000 + "\n"
+        text = head + "[" * 40_000 + "]" * 40_000 + "\n"
         start = time.perf_counter()
         assert _schema_lines(text) == [f"document: nested deeper than {MAX_DEPTH} levels"]
         assert time.perf_counter() - start < (2.0 if loader is yaml.SafeLoader else 0.5)
 
-    def test_peak_memory_is_a_few_times_the_text(self):
+    @pytest.mark.parametrize("shared", ["nothing", "run", "fog-spec"])
+    def test_peak_memory_is_a_few_times_the_text(self, shared):
         # A whole-document intermediate such as a node tree costs over 40
-        # times the text; the walk holds one event beside the document.
-        text = bench_workloads().generate("roaming-island", 1, "full")
+        # times the text; the walk holds one event beside the document,
+        # and an anchor's value beside its aliases.
+        text = _anchored(bench_workloads().generate("roaming-island", 1, "full"), shared)
         _load(text)  # the first load compiles the resolver's patterns
         tracemalloc.start()
         try:
@@ -714,8 +755,18 @@ class TestFlatBuild:
 
     @pytest.mark.parametrize(
         "text",
-        [*FALLBACK_SHAPES.values(), *INVALID_YAML, "a: 2020-13-45\n"],
-        ids=[*FALLBACK_SHAPES, *(f"invalid-{i}" for i in range(len(INVALID_YAML))), "bad-date"],
+        [
+            *FALLBACK_SHAPES.values(),
+            *WALKED_SHAPES.values(),
+            *INVALID_YAML,
+            "a: 2020-13-45\n",
+        ],
+        ids=[
+            *FALLBACK_SHAPES,
+            *WALKED_SHAPES,
+            *(f"invalid-{i}" for i in range(len(INVALID_YAML))),
+            "bad-date",
+        ],
     )
     def test_schema_lines_match_pyyaml_load(self, text, monkeypatch):
         lines = _schema_lines(text)
@@ -740,8 +791,11 @@ class TestFlatBuild:
     )
     @settings(max_examples=150, deadline=None)
     def test_dumped_documents_load_as_safe_loader_does(self, data, flow):
-        text = yaml.safe_dump(data, default_flow_style=flow, allow_unicode=True)
-        assert _outcome(_load, text) == _outcome(_stock, text)
+        # Dumped twice in one list, a collection is written with an anchor
+        # and then as its alias.
+        for doc in (data, [data, data]):
+            text = yaml.safe_dump(doc, default_flow_style=flow, allow_unicode=True)
+            assert _outcome(_load, text) == _outcome(_stock, text)
 
     @given(st.lists(YAML_LOOKING, min_size=1, max_size=6))
     @settings(max_examples=100, deadline=None)
@@ -766,6 +820,46 @@ class TestFlatBuild:
             parse_config(f"run: {{horizon_s: {tag} {scalar}}}\n")
         except ConfigError:
             pass
+
+
+class TestReads:
+    """How many loaders read a document: one for a document the walk builds,
+    and two for a shape left to PyYAML (the walk reads it to its end, for
+    its depth, and then ``yaml.load``)."""
+
+    @pytest.fixture
+    def reads(self, loader, monkeypatch):
+        made = []
+
+        class Counting(loader):
+            def __init__(self, stream):
+                made.append(stream)
+                super().__init__(stream)
+
+        monkeypatch.setattr("foggrid.scenario._LOADER", Counting)
+        return made
+
+    @pytest.mark.parametrize(
+        "text",
+        [*WALKED_SHAPES.values(), _anchored(BENCH_TINY["metro-grid"], "run")],
+        ids=[*WALKED_SHAPES, "anchored-bench"],
+    )
+    def test_walked_documents_are_read_once(self, text, reads):
+        _load(text)
+        assert len(reads) == 1
+
+    @pytest.mark.parametrize("text", FALLBACK_SHAPES.values(), ids=FALLBACK_SHAPES)
+    def test_fallback_shapes_are_read_twice(self, text, reads):
+        _outcome(_load, text)
+        assert len(reads) == 2
+
+    @pytest.mark.parametrize("text", INVALID_YAML)
+    def test_invalid_yaml_returns(self, text, reads):
+        # After an error of its own, libyaml's parser returns None for every
+        # later event, so a loop that read on would never end.
+        with pytest.raises(SchemaError):
+            parse_config(text)
+        assert len(reads) <= 2
 
 
 class TestGarbageCollector:

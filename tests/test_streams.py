@@ -4,15 +4,20 @@
 ``PCG64(SeedSequence(entropy=seed, spawn_key=key))``: numpy's derivation
 is the definition of a stream, and every pinned digest rests on it. These
 tests compare the bulk pass with numpy's own construction, one key at a
-time, at the word-size edges of seeds and keys.
+time, at the word-size edges of seeds and keys. One test pins the draws
+themselves as literal bytes: a comparison with numpy would follow numpy if
+a release changed how it draws.
 """
+
+import hashlib
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foggrid.engine import _pcg64_states
+from foggrid.engine import _exp_draws, _pcg64_states
 
 # The engine takes seeds below 2**64. 2**128 - 1 is the last seed that
 # fits SeedSequence's pool of four words; from 2**128 on, the hash mixes
@@ -61,3 +66,17 @@ def test_negative_key_is_rejected_as_by_numpy():
 )
 def test_random_keys_match_numpy(seed, keys):
     assert _pcg64_states(seed, keys) == [canonical(seed, key) for key in keys]
+
+
+def test_first_blocks_of_a_stream_are_pinned():
+    # The first six blocks (16, 32, ... 512 values) of one stream: the
+    # ziggurat's rare rejections occur among them, and each block after the
+    # first starts from the state read back after the one before.
+    (state,) = _pcg64_states(7919, [(1, 3, 0)])
+    draws = _exp_draws(np.random.Generator(np.random.PCG64(0)), state, 2.0)
+    values = np.array(list(islice(draws, 16 + 32 + 64 + 128 + 256 + 512)), dtype="<f8")
+    digest = hashlib.blake2b(values.tobytes(), digest_size=16).hexdigest()
+    assert digest == "08fde2a9e6154a420f41280ba753bb7a", (
+        f"Generator.exponential draws differently under numpy {np.__version__}: NEP 19 "
+        "keeps the bit generators' streams stable across releases, not Generator methods"
+    )
