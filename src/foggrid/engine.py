@@ -28,7 +28,9 @@ the current instant (a ServiceStart, the first hop of a session message,
 the session step its delivery triggers), which go to a FIFO queue: that
 queue is always in (time, seq) order and drains before time advances, and
 the loop takes whichever head comes first. Session starts enter the heap
-one at a time, each when the one before it is handled.
+one at a time, each when the one before it is handled. The loop handles
+queue events inline, and a service event carries its server's state;
+session steps go to _handle_session_step, the one handler method left.
 
 Trace digest: each processed event is rendered as the text line
 ``repr(time),seq,kind,node`` + newline, where ``kind`` is the EventKind
@@ -418,7 +420,6 @@ class _Engine:
         self.messages: Optional[dict[int, Message]] = {} if cfg.record_events else None
 
         self.msg_id = 0
-        self.delivered = 0
         self.bytes_gen = 0
 
         # Every stream of the run is derived in one pass: the service
@@ -533,9 +534,8 @@ class _Engine:
         if entry is not None:
             heappush(self.heap, entry)
 
-    # -- event handlers -----------------------------------------------
-
     def _integrate(self, st: _NodeState, now: float) -> None:
+        """The queue-area rule; run's loop states it inline too."""
         if now > self.warmup and st.queue:
             lo = st.last_t if st.last_t > self.warmup else self.warmup
             st.area_window += len(st.queue) * (now - lo)
@@ -543,72 +543,12 @@ class _Engine:
 
     def _close_busy(self, st: _NodeState, now: float) -> None:
         """Add the busy period from ``st.busy_since`` to ``now`` to the
-        busy totals, the part after the warmup to the window's."""
+        busy totals, the part after the warmup to the window's: the
+        busy-window rule, which run's loop states inline too."""
         st.busy_total += now - st.busy_since
         lo = st.busy_since if st.busy_since > self.warmup else self.warmup
         if now > lo:
             st.busy_window += now - lo
-
-    def _handle_arrival(self, now: float, node: NodeId, transit: _Transit) -> None:
-        if transit.hop_idx == 0:
-            idx = transit.process_idx
-            if idx is not None:
-                self.bytes_gen += self.proc_size[idx]
-                # Keep the Poisson stream flowing: draw the next generation.
-                nxt = now + next(self.proc_stream[idx])
-                if nxt <= self.horizon:
-                    self._spawn_process_message(idx, nxt)
-            if self.messages is not None:
-                self.messages[transit.msg_id] = (
-                    transit.msg if idx is None else self._process_message(transit, now)
-                )
-
-        st = self.servers.get(node)
-        if st is None:
-            # Device tier: zero queueing, forward or deliver immediately.
-            if now >= self.warmup:
-                self.device_arrivals[node] += 1
-            self._forward(now, node, transit)
-            return
-
-        transit.node_arrival = now
-        if now >= self.warmup:
-            st.arrivals_window += 1
-        self._integrate(st, now)
-        st.queue.append(transit)
-        if len(st.queue) == 1:
-            self.now_queue.append((now, next(self.seq), _SERVICE_START, node, None))
-
-    def _handle_service_start(self, now: float, node: NodeId, _data) -> None:
-        st = self.servers[node]
-        st.busy_since = now
-        done = now + next(st.service)
-        heappush(self.heap, (done, next(self.seq), _SERVICE_END, node, None))
-
-    def _handle_service_end(self, now: float, node: NodeId, _data) -> None:
-        st = self.servers[node]
-        # The message in service still counts until now.
-        self._integrate(st, now)
-        transit = st.queue.popleft()
-        self._close_busy(st, now)
-        if transit.node_arrival >= self.warmup:
-            st.samples += 1
-            st.sojourn_sum += now - transit.node_arrival
-        if st.queue:
-            self.now_queue.append((now, next(self.seq), _SERVICE_START, node, None))
-        self._forward(now, node, transit)
-
-    def _forward(self, now: float, node: NodeId, transit: _Transit) -> None:
-        """Send ``transit`` on to its next hop, or deliver it at the last."""
-        hops = transit.hops
-        if transit.hop_idx == len(hops) - 1:
-            self.delivered += 1
-            if transit.step is not None:
-                self.now_queue.append((now, next(self.seq), _SESSION_STEP, node, transit.step))
-        else:
-            transit.hop_idx += 1
-            at = now + self.hop_delay
-            heappush(self.heap, (at, next(self.seq), _ARRIVAL, hops[transit.hop_idx], transit))
 
     # -- session protocol ----------------------------------------------
 
@@ -709,14 +649,14 @@ class _Engine:
 
         heap = self.heap
         now_queue = self.now_queue
-        popleft = now_queue.popleft
-        horizon = self.horizon
-        handlers = (
-            self._handle_arrival,
-            self._handle_service_start,
-            self._handle_service_end,
-            self._handle_session_step,
-        )
+        popleft, schedule_now = now_queue.popleft, now_queue.append
+        horizon, warmup, hop_delay = self.horizon, self.warmup, self.hop_delay
+        server_of = self.servers.get
+        device_arrivals = self.device_arrivals
+        proc_stream, proc_size, proc_route = self.proc_stream, self.proc_size, self.proc_route
+        messages = self.messages
+        next_seq = self.seq.__next__
+        delivered = 0
         events = self.events
         # ",kind,node\n" of each (kind, node) seen so far, one dict per kind.
         suffixes: tuple[dict, ...] = tuple({} for _ in _KINDS)
@@ -749,10 +689,85 @@ class _Engine:
                 lines.clear()
             if events is not None:
                 events.append(SimEvent(time, seq, _KINDS[kind], node, _subject_of(kind, data)))
-            handlers[kind](time, node, data)
+
+            # Queue events are handled here; a service event's data is its
+            # server's _NodeState, an arrival's its _Transit.
+            if kind == _ARRIVAL:
+                transit = data
+                if transit.hop_idx == 0:
+                    idx = transit.process_idx
+                    if idx is not None:
+                        self.bytes_gen += proc_size[idx]
+                        # Keep the Poisson stream flowing: draw the next generation.
+                        nxt = time + next(proc_stream[idx])
+                        if nxt <= horizon:
+                            self._spawn_process_message(idx, nxt)
+                    if messages is not None:
+                        messages[transit.msg_id] = (
+                            transit.msg if idx is None else self._process_message(transit, time)
+                        )
+                st = server_of(node)
+                if st is None:
+                    # Device tier: zero queueing, forward or deliver immediately.
+                    if time >= warmup:
+                        device_arrivals[node] += 1
+                else:
+                    transit.node_arrival = time
+                    if time >= warmup:
+                        st.arrivals_window += 1
+                    # Queue-area rule, as _integrate states it for _finalize.
+                    queue = st.queue
+                    if time > warmup and queue:
+                        lo = st.last_t if st.last_t > warmup else warmup
+                        st.area_window += len(queue) * (time - lo)
+                    st.last_t = time
+                    queue.append(transit)
+                    if len(queue) == 1:
+                        schedule_now((time, next_seq(), _SERVICE_START, node, st))
+                    continue
+            elif kind == _SERVICE_START:
+                data.busy_since = time
+                heappush(heap, (time + next(data.service), next_seq(), _SERVICE_END, node, data))
+                continue
+            elif kind == _SERVICE_END:
+                st = data
+                queue = st.queue
+                # The message in service still counts until now.
+                if time > warmup:
+                    lo = st.last_t if st.last_t > warmup else warmup
+                    st.area_window += len(queue) * (time - lo)
+                st.last_t = time
+                transit = queue.popleft()
+                # Busy-window rule, as _close_busy states it for _finalize.
+                since = st.busy_since
+                st.busy_total += time - since
+                lo = since if since > warmup else warmup
+                if time > lo:
+                    st.busy_window += time - lo
+                if transit.node_arrival >= warmup:
+                    st.samples += 1
+                    st.sojourn_sum += time - transit.node_arrival
+                if queue:
+                    schedule_now((time, next_seq(), _SERVICE_START, node, st))
+            else:
+                self._handle_session_step(time, node, data)
+                continue
+
+            # A device arrival or a ServiceEnd: send the transit on to its
+            # next hop, or deliver it at the last.
+            hops = transit.hops
+            if transit.hop_idx == len(hops) - 1:
+                delivered += 1
+                if transit.step is not None:
+                    schedule_now((time, next_seq(), _SESSION_STEP, node, transit.step))
+            else:
+                transit.hop_idx += 1
+                at = time + hop_delay
+                heappush(heap, (at, next_seq(), _ARRIVAL, hops[transit.hop_idx], transit))
 
         self.hasher.update("".join(lines).encode())
         self.event_count = n
+        self.delivered = delivered
         return self._finalize()
 
     def _finalize(self) -> SimResult:
@@ -823,11 +838,10 @@ class _Engine:
 
 
 def _subject_of(kind: int, data) -> Optional[int]:
-    if data is None:
-        return None
+    # A service event's data is its server, which is no subject.
     if kind == _SESSION_STEP:
         return data[0]
-    return data.msg_id
+    return data.msg_id if kind == _ARRIVAL else None
 
 
 def check_run_values(cfg: RunConfig) -> list[str]:

@@ -60,12 +60,12 @@ class Mode(Enum):
     FOG_AUGMENTED = "fog-augmented"
 
 
+# Tuples, not sets: ``in`` finds a member by identity, where a set would
+# hash it through Enum.__hash__, a Python call per node.
 #: Roles a fog-tier node may carry.
-FOG_ROLES = frozenset({DeviceRole.GATEWAY, DeviceRole.COMPUTING})
+FOG_ROLES = (DeviceRole.GATEWAY, DeviceRole.COMPUTING)
 #: Roles a device-tier node may carry.
-DEVICE_ROLES = frozenset(
-    {DeviceRole.SENSOR, DeviceRole.ACTUATOR, DeviceRole.CONNECTING}
-)
+DEVICE_ROLES = (DeviceRole.SENSOR, DeviceRole.ACTUATOR, DeviceRole.CONNECTING)
 
 
 @dataclass(frozen=True)
@@ -284,7 +284,8 @@ def _validate(t: Topology) -> tuple[Violation, ...]:
     the cloud count, each node's role, area, service-rate and spec rules,
     the gateways per area, the orphan areas (fog-augmented mode only) and
     the fog links. A node's text is formatted only for a rule it breaks,
-    and the spec rules run once per distinct spec."""
+    and the spec rules run once per distinct spec: a node whose spec is
+    the previous node's reuses its faults without hashing the spec."""
     ranges: list[Violation] = []
     rules: list[Violation] = []
     seen: set[NodeId] = set()
@@ -292,6 +293,7 @@ def _validate(t: Topology) -> tuple[Violation, ...]:
     fog_by_area: dict[FogAreaId, list[NodeId]] = {}
     unserved: list[Node] = []  # devices seen before any gateway of their area
     faults: dict[DeviceSpec, list[tuple[str, str]]] = {}
+    last_spec: object = object()  # the previous node's spec; at first, none
     fog_mode = t.mode is Mode.FOG_AUGMENTED
     for n in t.nodes:
         node_id, tier, area = n.id, n.tier, n.area
@@ -341,9 +343,11 @@ def _validate(t: Topology) -> tuple[Violation, ...]:
                 f"finite, got {shown(n.service_rate_per_s)}"
             )
             rules.append(Violation("service rate", detail))
-        spec_faults = faults.get(n.spec)
-        if spec_faults is None:
-            spec_faults = faults[n.spec] = _spec_faults(n.spec)
+        if n.spec is not last_spec:
+            last_spec = n.spec
+            spec_faults = faults.get(last_spec)
+            if spec_faults is None:
+                spec_faults = faults[last_spec] = _spec_faults(last_spec)
         for code, detail in spec_faults:
             rules.append(Violation(code, f"node {shown(node_id)}: {detail}"))
 

@@ -481,6 +481,51 @@ class TestSessions:
         assert res.sessions[0].state is SessionState.CHARGING
         assert res.bills == ()
 
+    def crossing_sessions(self, **overrides):
+        """Each outlet charges the other area's vehicle, both at t = 10 s
+        with no hop delay, so both requests reach their idle gateways (1
+        and 2) at the same instant: gateway 1's ServiceStart is queued
+        while gateway 2's arrival is still pending, and is handled after
+        it."""
+        sessions = tuple(
+            SessionPlan(vehicle_id=v, outlet_meter=m, start_s=10.0, energy_kwh=1.0)
+            for v, m in (("roam", 3), ("home", 5))
+        )
+        return self.two_area_config(sessions=sessions, record_events=True, **overrides)
+
+    def test_same_instant_services_draw_their_own_streams(self):
+        cfg = self.crossing_sessions()
+        res = foggrid.run(cfg)
+        scan_trace(res, cfg.topology)
+        assert [s.state for s in res.sessions] == [SessionState.BILLED] * 2
+        started: dict[int, float] = {}
+        served: dict[int, list[float]] = {}
+        for e in res.trace.events:
+            if e.kind is EventKind.SERVICE_START:
+                started[e.node] = e.time
+            elif e.kind is EventKind.SERVICE_END:
+                served.setdefault(e.node, []).append(e.time - started.pop(e.node))
+        # Every ComD request and approval is served once at each server.
+        assert sorted(served) == [0, 1, 2]
+        for node, times in served.items():
+            key = (engine._PURPOSE_SERVICE, node)
+            stream = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=key))
+            )
+            assert len(times) == 4
+            # Every server serves at 1/s.
+            assert times == pytest.approx(stream.exponential(1.0, 4).tolist(), rel=1e-9)
+
+    def test_arrivals_at_the_warmup_instant_count(self):
+        cfg = self.crossing_sessions(warmup_s=10.0)
+        res = foggrid.run(cfg)
+        window = cfg.horizon_s - cfg.warmup_s
+        # Both requests leave their outlets, and reach gateways 1 and 2,
+        # at the warmup instant; each node handles four messages.
+        for node in (0, 1, 2, 3, 5):
+            assert round(res.queue_stats[node].lambda_hat * window) == 4
+        assert [res.queue_stats[node].samples for node in (0, 1, 2)] == [4, 4, 4]
+
 
 class TestEnergySourcing:
     def plans(self, *energies, start=100.0, spacing=100.0):

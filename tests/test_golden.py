@@ -18,9 +18,11 @@ top-up that is curtailed at capacity, and events that share their time.
 import collections
 import dataclasses
 import hashlib
+import json
 import textwrap
 
 import pytest
+from conftest import BENCH_TINY, WORKLOADS_PY, bench_workloads
 
 from foggrid import Mode, RoutePattern, billing, engine, messages, parse_config, run
 from foggrid.cli import EXIT_OK, main
@@ -465,3 +467,22 @@ def test_process_payloads_sealed_only_when_recorded(monkeypatch):
         ]
         assert len(envelopes) > 1
         assert all(e is envelopes[0] for e in envelopes)
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_TINY))
+def test_bench_workload_at_full_size_matches_its_pins(name, tmp_path, capsys):
+    # The tiny pins miss a fault that shows only at full size; this catches
+    # it before a benchmark run does. Both modes' summary.txt bytes carry
+    # the trace digest.
+    workloads = bench_workloads()
+    pins = json.loads((WORKLOADS_PY.parent / "pinned.json").read_text(encoding="utf-8"))
+    pinned = pins["full"][name]
+    seed = str(workloads.DEFAULT_SEED)
+    config = tmp_path / "scenario.yaml"
+    config.write_text(workloads.generate(name, workloads.DEFAULT_SEED, "full"), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["compare", str(config), "--seed", seed, "--out", str(out)]) == EXIT_OK
+    printed = capsys.readouterr().out
+    for mode, summary in pinned["summary"].items():
+        assert (out / mode / "summary.txt").read_bytes() == summary.encode()
+        assert f"{mode.split('-')[0]}_trace_digest: {pinned['digest'][mode]}\n" in printed
