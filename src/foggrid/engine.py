@@ -23,11 +23,17 @@ a block element by element from the bit generator, so the values drawn do
 not depend on the block size.
 
 Events are processed in strict (time, seq) order, seq assigned at
-scheduling time. Pending events sit in a heap, except those scheduled at
-the current instant (a ServiceStart, the first hop of a session message,
-the session step its delivery triggers), which go to a FIFO queue: that
-queue is always in (time, seq) order and drains before time advances, and
-the loop takes whichever head comes first. Session starts enter the heap
+scheduling time. Pending events sit in a heap or in one of two FIFOs: the
+same-instant FIFO (now_queue) holds those scheduled at the current instant
+(a ServiceStart, the first hop of a session message, the session step its
+delivery triggers) and drains before time advances; the hop FIFO holds the
+forwarded hops, each hop_delay_s ahead of its sender. Both are always in
+(time, seq) order, the hop FIFO because the clock never goes back, seq only
+grows and float addition is monotone. The loop takes whichever of the
+three heads comes first, so the heap holds only drawn and scheduled times.
+A hop_delay_s of 0, or one that rounds away (t + hop_delay_s == t), needs
+no special case: its forwards land at the current instant, where seq alone
+orders them against the same-instant FIFO. Session starts enter the heap
 one at a time, each when the one before it is handled. The loop handles
 queue events inline, and a service event carries its server's state;
 session steps go to _handle_session_step, the one handler method left.
@@ -650,6 +656,10 @@ class _Engine:
         heap = self.heap
         now_queue = self.now_queue
         popleft, schedule_now = now_queue.popleft, now_queue.append
+        # Forwards, each hop_delay ahead: the clock never goes back and seq
+        # only grows, so this FIFO stays in (time, seq) order, as now_queue.
+        hop_queue = deque()
+        pop_hop, schedule_hop = hop_queue.popleft, hop_queue.append
         horizon, warmup, hop_delay = self.horizon, self.warmup, self.hop_delay
         server_of = self.servers.get
         device_arrivals = self.device_arrivals
@@ -665,8 +675,14 @@ class _Engine:
         n = 0
         last_time = time_repr = None
         while True:
-            if now_queue:
-                # seq is unique, so the tuples compare on (time, seq) alone.
+            # seq is unique, so the tuples compare on (time, seq) alone.
+            if (
+                hop_queue
+                and (not now_queue or hop_queue[0] < now_queue[0])
+                and (not heap or hop_queue[0] < heap[0])
+            ):
+                entry = pop_hop()
+            elif now_queue:
                 entry = heappop(heap) if heap and heap[0] < now_queue[0] else popleft()
             elif heap:
                 entry = heappop(heap)
@@ -763,7 +779,7 @@ class _Engine:
             else:
                 transit.hop_idx += 1
                 at = time + hop_delay
-                heappush(heap, (at, next_seq(), _ARRIVAL, hops[transit.hop_idx], transit))
+                schedule_hop((at, next_seq(), _ARRIVAL, hops[transit.hop_idx], transit))
 
         self.hasher.update("".join(lines).encode())
         self.event_count = n

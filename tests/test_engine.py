@@ -516,6 +516,72 @@ class TestSessions:
             # Every server serves at 1/s.
             assert times == pytest.approx(stream.exponential(1.0, 4).tolist(), rel=1e-9)
 
+    def test_hop_delay_that_rounds_away_orders_by_seq(self):
+        """A forward lands hop_delay_s after the event that sends it, and
+        10 + 5e-324 rounds to 10: every forward here lands at its sender's
+        instant, so only seq orders it against the same-instant events
+        queued before and after it. Pinned from the single-heap engine."""
+        cfg = self.crossing_sessions(hop_delay_s=5e-324)
+        assert 10.0 + cfg.hop_delay_s == 10.0
+        res = foggrid.run(cfg)
+        assert [(e.time, e.seq, e.kind.value, e.node) for e in res.trace.events] == [
+            (10.0, 0, "SessionStep", 3),
+            (10.0, 1, "SessionStep", 5),
+            (10.0, 2, "Arrival", 3),
+            (10.0, 3, "Arrival", 5),
+            (10.0, 4, "Arrival", 1),
+            (10.0, 5, "Arrival", 2),
+            (10.0, 6, "ServiceStart", 1),
+            (10.0, 7, "ServiceStart", 2),
+            (10.219388041693206, 9, "ServiceEnd", 2),
+            (10.219388041693206, 10, "Arrival", 0),
+            (10.219388041693206, 11, "ServiceStart", 0),
+            (10.718862781696288, 12, "ServiceEnd", 0),
+            (10.718862781696288, 13, "Arrival", 1),
+            (10.741071311303582, 8, "ServiceEnd", 1),
+            (10.741071311303582, 14, "ServiceStart", 1),
+            (10.741071311303582, 15, "Arrival", 0),
+            (10.741071311303582, 17, "ServiceStart", 0),
+            (11.465081536510366, 16, "ServiceEnd", 1),
+            (11.465081536510366, 19, "Arrival", 3),
+            (11.465081536510366, 20, "SessionStep", 3),
+            (11.465081536510366, 21, "Arrival", 3),
+            (11.465081536510366, 22, "Arrival", 1),
+            (11.465081536510366, 23, "ServiceStart", 1),
+            (11.48294360230154, 24, "ServiceEnd", 1),
+            (11.48294360230154, 25, "Arrival", 0),
+            (12.275986864759489, 18, "ServiceEnd", 0),
+            (12.275986864759489, 26, "ServiceStart", 0),
+            (12.275986864759489, 27, "Arrival", 2),
+            (12.275986864759489, 29, "ServiceStart", 2),
+            (12.570134832083117, 30, "ServiceEnd", 2),
+            (12.570134832083117, 31, "Arrival", 5),
+            (12.570134832083117, 32, "SessionStep", 5),
+            (12.570134832083117, 33, "Arrival", 5),
+            (12.570134832083117, 34, "Arrival", 2),
+            (12.570134832083117, 35, "ServiceStart", 2),
+            (12.694575376781408, 36, "ServiceEnd", 2),
+            (12.694575376781408, 37, "Arrival", 0),
+            (13.757178973900023, 28, "ServiceEnd", 0),
+            (13.757178973900023, 38, "ServiceStart", 0),
+            (13.757178973900023, 39, "Arrival", 2),
+            (13.757178973900023, 41, "ServiceStart", 2),
+            (13.988652221089096, 42, "ServiceEnd", 2),
+            (13.988652221089096, 43, "Arrival", 5),
+            (13.988652221089096, 44, "SessionStep", 5),
+            (13.988652221089096, 45, "SessionStep", 5),
+            (14.473642146596587, 40, "ServiceEnd", 0),
+            (14.473642146596587, 46, "Arrival", 1),
+            (14.473642146596587, 47, "ServiceStart", 1),
+            (14.782311949815668, 48, "ServiceEnd", 1),
+            (14.782311949815668, 49, "Arrival", 3),
+            (14.782311949815668, 50, "SessionStep", 3),
+            (14.782311949815668, 51, "SessionStep", 3),
+        ]
+        assert res.trace.digest == "41ce325b113ec858"
+        # A delay that rounds away is no delay.
+        assert foggrid.run(self.crossing_sessions()).trace.digest == res.trace.digest
+
     def test_arrivals_at_the_warmup_instant_count(self):
         cfg = self.crossing_sessions(warmup_s=10.0)
         res = foggrid.run(cfg)

@@ -93,7 +93,8 @@ def session_configs(draw):
         bess=bess,
         bess_charge_schedule=schedule,
         grid_available=draw(st.booleans()),
-        hop_delay_s=draw(st.sampled_from([0.0, 0.05])),
+        # A delay that rounds away: t + 5e-324 == t for every t >= 2**-1020.
+        hop_delay_s=draw(st.sampled_from([0.0, 5e-324, 0.05])),
     )
 
 
@@ -104,6 +105,9 @@ def test_recorded_run_equals_unrecorded_run(cfg):
     recorded = foggrid.run(dataclasses.replace(cfg, record_events=True))
     assert recorded.trace.digest == plain.trace.digest
     assert recorded.trace.event_count == plain.trace.event_count == len(recorded.trace.events)
+    # Both runs share the loop, so only this checks its order.
+    keys = [(e.time, e.seq) for e in recorded.trace.events]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
     assert recorded.sessions == plain.sessions
     assert recorded.bills == plain.bills
     assert recorded.session_sources == plain.session_sources
