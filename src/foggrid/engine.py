@@ -34,9 +34,11 @@ three heads comes first, so the heap holds only drawn and scheduled times.
 A hop_delay_s of 0, or one that rounds away (t + hop_delay_s == t), needs
 no special case: its forwards land at the current instant, where seq alone
 orders them against the same-instant FIFO. Session starts enter the heap
-one at a time, each when the one before it is handled. The loop handles
-queue events inline, and a service event carries its server's state;
-session steps go to _handle_session_step, the one handler method left.
+one at a time, each when the one before it is handled, and an entry at
++inf follows the last, so the heap is never empty. The loop handles queue
+events inline, and a service event carries its server's state; a session
+step carries its handler, a plain function (a bound method would make each
+engine cyclic garbage).
 
 Trace digest: each processed event is rendered as the text line
 ``repr(time),seq,kind,node`` + newline, where ``kind`` is the EventKind
@@ -55,6 +57,7 @@ route reversed, so a session resolves one route.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -120,15 +123,6 @@ class EventKind(Enum):
 # Heap entries carry the kind as an index into this tuple.
 _KINDS = tuple(EventKind)
 _ARRIVAL, _SERVICE_START, _SERVICE_END, _SESSION_STEP = range(len(_KINDS))
-
-
-class _Step(Enum):
-    """Session-protocol steps, carried by SessionStep events."""
-
-    INITIATE = 0
-    REQUEST_DELIVERED = 1
-    APPROVAL_DELIVERED = 2
-    CHARGE_COMPLETE = 3
 
 
 @dataclass(frozen=True)
@@ -228,9 +222,9 @@ class SimResult:
 
 class _Transit:
     """A message in flight: its route and current position. A session
-    message carries ``step``, the (session index, _Step, hops) its
-    delivery triggers; ``msg`` is set only for session messages, and only
-    when events are recorded."""
+    message carries ``step``, the (session index, handler, hops) of the
+    SessionStep its delivery triggers; ``msg`` is set only for session
+    messages, and only when events are recorded."""
 
     __slots__ = ("msg_id", "hops", "hop_idx", "node_arrival", "process_idx", "step", "msg")
 
@@ -526,19 +520,20 @@ class _Engine:
         starts = []
         for idx, plan in enumerate(self.cfg.sessions):
             if plan.start_s <= self.horizon:
-                step = (idx, _Step.INITIATE, None)
+                step = (idx, _Engine._initiate, None)
                 starts.append(
                     (plan.start_s, next(self.seq), _SESSION_STEP, plan.outlet_meter, step)
                 )
-        # Only the earliest start waits in the heap; handling it pushes the next.
+        # Only the earliest start waits in the heap; handling it pushes the
+        # next. After the last comes an entry past any horizon, so the heap
+        # never runs dry; its seq, -1, is unique and takes no run number.
         starts.sort()
+        starts.append((math.inf, -1, _SESSION_STEP, None, None))
         self.starts = iter(starts)
         self._push_next_start()
 
     def _push_next_start(self) -> None:
-        entry = next(self.starts, None)
-        if entry is not None:
-            heappush(self.heap, entry)
+        heappush(self.heap, next(self.starts))
 
     def _integrate(self, st: _NodeState, now: float) -> None:
         """The queue-area rule; run's loop states it inline too."""
@@ -558,61 +553,55 @@ class _Engine:
 
     # -- session protocol ----------------------------------------------
 
-    def _send_session_message(self, now: float, hops, size: int, step, msg) -> None:
+    def _send_session_message(self, now: float, hops, size: int, build, step) -> None:
         """Put a session message of ``size`` payload bytes on the wire
-        under the next message id."""
+        under the next message id; ``build`` (billing.request_message or
+        approval_message) makes its Message, only to be recorded."""
+        msg = None
+        if self.messages is not None:
+            msg = build(self.sessions[step[0]], self.topo, self.msg_id, now)
         self.bytes_gen += size
         transit = _Transit(self.msg_id, hops, step=step, msg=msg)
         self.msg_id += 1
         self.now_queue.append((now, next(self.seq), _ARRIVAL, hops[0], transit))
 
-    def _handle_session_step(self, now: float, node: NodeId, data) -> None:
-        # ``hops`` is the route of the message whose delivery triggered
-        # this step, or None.
-        idx, step, hops = data
-        if step is _Step.INITIATE:
-            self._push_next_start()
-            plan = self.cfg.sessions[idx]
-            registry = self.cfg.vehicle_registry
-            session = billing.initiate_session(
-                idx, plan.vehicle_id, plan.outlet_meter, registry, self.topo
-            )
-            session, route = billing.resolve_owner(session, registry, self.topo)
-            self.sessions[idx] = session
-            if session.state is SessionState.REJECTED:
-                return
-            if route is None:
-                # Self-charge: no network round-trip needed.
-                self._begin_charging(now, idx)
-                return
-            # Both protocol Messages are built only to be recorded.
-            msg = None
-            if self.messages is not None:
-                msg = billing.request_message(session, self.topo, self.msg_id, now)
-            next_step = (idx, _Step.REQUEST_DELIVERED, route.hops)
-            self._send_session_message(now, route.hops, billing.REQUEST_BYTES, next_step, msg)
-        elif step is _Step.REQUEST_DELIVERED:
-            # Owner's meter answers with the identity confirmation, back
-            # along the request route reversed (resolve_route is symmetric).
-            msg = None
-            if self.messages is not None:
-                msg = billing.approval_message(self.sessions[idx], self.topo, self.msg_id, now)
-            hops = hops[::-1]
-            next_step = (idx, _Step.APPROVAL_DELIVERED, None)
-            self._send_session_message(now, hops, billing.APPROVAL_BYTES, next_step, msg)
-        elif step is _Step.APPROVAL_DELIVERED:
+    def _initiate(self, now: float, idx: int, hops) -> None:
+        self._push_next_start()
+        plan = self.cfg.sessions[idx]
+        registry = self.cfg.vehicle_registry
+        session = billing.initiate_session(
+            idx, plan.vehicle_id, plan.outlet_meter, registry, self.topo
+        )
+        session, route = billing.resolve_owner(session, registry, self.topo)
+        self.sessions[idx] = session
+        if session.state is SessionState.REJECTED:
+            return
+        if route is None:
+            # Self-charge: no network round-trip needed.
             self._begin_charging(now, idx)
-        elif step is _Step.CHARGE_COMPLETE:
-            self._complete_charge(now, idx)
+            return
+        step = (idx, _Engine._reply, route.hops)
+        self._send_session_message(
+            now, route.hops, billing.REQUEST_BYTES, billing.request_message, step
+        )
 
-    def _begin_charging(self, now: float, idx: int) -> None:
+    def _reply(self, now: float, idx: int, hops) -> None:
+        """The owner's meter answers the request delivered along ``hops``
+        with the identity confirmation, back along them reversed
+        (resolve_route is symmetric)."""
+        step = (idx, _Engine._begin_charging, None)
+        self._send_session_message(
+            now, hops[::-1], billing.APPROVAL_BYTES, billing.approval_message, step
+        )
+
+    def _begin_charging(self, now: float, idx: int, hops=None) -> None:
         session = self.sessions[idx]
         session = billing.authorize(session)
         session = billing.start_charging(session, now)
         self.sessions[idx] = session
         plan = self.cfg.sessions[idx]
         done = now + plan.duration_s
-        step = (idx, _Step.CHARGE_COMPLETE, None)
+        step = (idx, _Engine._complete_charge, None)
         heappush(self.heap, (done, next(self.seq), _SESSION_STEP, plan.outlet_meter, step))
 
     def _apply_bess_schedule(self, now: float) -> None:
@@ -623,7 +612,7 @@ class _Engine:
             if self.bess is not None:
                 self.bess = bess_charge_curtailed(self.bess, entry.energy_kwh)
 
-    def _complete_charge(self, now: float, idx: int) -> None:
+    def _complete_charge(self, now: float, idx: int, hops) -> None:
         plan = self.cfg.sessions[idx]
         session = self.sessions[idx]
         self._apply_bess_schedule(now)
@@ -675,19 +664,17 @@ class _Engine:
         n = 0
         last_time = time_repr = None
         while True:
-            # seq is unique, so the tuples compare on (time, seq) alone.
+            # seq is unique, so the tuples compare on (time, seq) alone; the heap never empties.
             if (
                 hop_queue
                 and (not now_queue or hop_queue[0] < now_queue[0])
-                and (not heap or hop_queue[0] < heap[0])
+                and hop_queue[0] < heap[0]
             ):
                 entry = pop_hop()
             elif now_queue:
-                entry = heappop(heap) if heap and heap[0] < now_queue[0] else popleft()
-            elif heap:
-                entry = heappop(heap)
+                entry = heappop(heap) if heap[0] < now_queue[0] else popleft()
             else:
-                break
+                entry = heappop(heap)
             time, seq, kind, node, data = entry
             if time > horizon:
                 break
@@ -766,7 +753,8 @@ class _Engine:
                 if queue:
                     schedule_now((time, next_seq(), _SERVICE_START, node, st))
             else:
-                self._handle_session_step(time, node, data)
+                idx, handler, hops = data
+                handler(self, time, idx, hops)
                 continue
 
             # A device arrival or a ServiceEnd: send the transit on to its

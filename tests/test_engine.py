@@ -2,11 +2,13 @@
 trace structure, session protocol, and energy sourcing."""
 
 import dataclasses
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
-from conftest import cloud_node, device_node, fog_node, grid_topology, make_topology
+from conftest import BENCH_TINY, cloud_node, device_node, fog_node, grid_topology, make_topology
 
 import foggrid
 from foggrid import engine, messages
@@ -31,8 +33,10 @@ from foggrid import (
     Tier,
     littles_law_residual,
     mm1_analytic,
+    parse_config,
     resolve_route,
 )
+from foggrid.topology import FLOAT_MAX
 
 LAM = 1 / 60
 MU_FOG = 1 / 35
@@ -465,6 +469,18 @@ class TestSessions:
         )
         assert foggrid.run(cfg).sessions == ()
 
+    def test_steps_at_the_horizon_are_handled(self):
+        """The horizon is inclusive: a self-charge that starts at it, with
+        no charge duration, is billed at it."""
+        plan = SessionPlan(vehicle_id="home", outlet_meter=3, start_s=10_000.0, energy_kwh=1.0)
+        res = foggrid.run(self.two_area_config(sessions=(plan,), record_events=True))
+        assert [(e.time, e.seq, e.kind.value, e.node) for e in res.trace.events] == [
+            (10_000.0, 0, "SessionStep", 3),
+            (10_000.0, 1, "SessionStep", 3),
+        ]
+        assert res.sessions[0].state is SessionState.BILLED
+        assert res.sessions[0].ended_at == 10_000.0
+
     def test_charge_still_pending_at_horizon(self):
         cfg = self.two_area_config(
             sessions=(
@@ -582,6 +598,42 @@ class TestSessions:
         # A delay that rounds away is no delay.
         assert foggrid.run(self.crossing_sessions()).trace.digest == res.trace.digest
 
+    def test_times_overflowing_to_infinity_end_the_run(self):
+        """Every time that overflows lands at +inf, past any horizon: here
+        a forward (1.7e308 + FLOAT_MAX) and a charge completion (1e308 +
+        FLOAT_MAX), tied at inf with the heap's end-of-run entry. Pinned
+        from the engine whose loop stopped on an empty heap."""
+        cfg = RunConfig(
+            seed=3,
+            horizon_s=FLOAT_MAX,
+            warmup_s=0.0,
+            topology=grid_topology(areas=1, devices_per_area=2),
+            vehicle_registry={"ev": MeterIdentity(meter=3, owner_account="acct-ev")},
+            sessions=(
+                SessionPlan(vehicle_id="ev", outlet_meter=2, start_s=1.7e308, energy_kwh=1.0),
+                SessionPlan(
+                    vehicle_id="ev",
+                    outlet_meter=3,
+                    start_s=1e308,
+                    energy_kwh=1.0,
+                    duration_s=FLOAT_MAX,
+                ),
+            ),
+            hop_delay_s=FLOAT_MAX,
+            record_events=True,
+        )
+        res = foggrid.run(cfg)
+        assert [(e.time, e.seq, e.kind.value, e.node) for e in res.trace.events] == [
+            (1e308, 1, "SessionStep", 3),
+            (1.7e308, 0, "SessionStep", 2),
+            (1.7e308, 3, "Arrival", 2),
+        ]
+        assert res.trace.digest == "e6bf2ec59d60da0b"
+        assert [s.state for s in res.sessions] == [
+            SessionState.OWNER_RESOLVED,
+            SessionState.CHARGING,
+        ]
+
     def test_arrivals_at_the_warmup_instant_count(self):
         cfg = self.crossing_sessions(warmup_s=10.0)
         res = foggrid.run(cfg)
@@ -591,6 +643,32 @@ class TestSessions:
         for node in (0, 1, 2, 3, 5):
             assert round(res.queue_stats[node].lambda_hat * window) == 4
         assert [res.queue_stats[node].samples for node in (0, 1, 2)] == [4, 4, 4]
+
+
+def test_a_finished_run_leaves_no_cycle_through_the_engine(monkeypatch):
+    """Pending entries hold plain functions, never bound methods, so no
+    reference cycle runs through the engine: reference counting frees it
+    when run returns, and a compare's first run is gone before its second
+    starts, even with the collector off."""
+    refs = []
+
+    class Recorded(engine._Engine):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(engine, "_Engine", Recorded)
+    cfg = parse_config(BENCH_TINY["roaming-island"]).run_config
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        res = foggrid.run(cfg)
+        assert len(refs) == 1
+        assert refs[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert res.bills
 
 
 class TestEnergySourcing:

@@ -92,7 +92,9 @@ def test_mutated_scenarios_parse_or_are_rejected(scenario_path, golden, edits, d
         assert check_run_config(sc.run_config) == []
         assert 0 < sc.c_ms <= FLOAT_MAX
         assert validate_topology(sc.run_config.topology) == []
-        # Set-up resolves every route and classifies every payload kind.
+        # Set-up derives every stream, routes each process to its serving
+        # node and draws each first arrival. (Payloads are classified only
+        # when recorded, and session routes resolve when a session starts.)
         engine = _Engine(sc.run_config)
         engine._setup_processes()
         engine._setup_sessions()
