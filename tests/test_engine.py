@@ -248,6 +248,13 @@ class TestQueueStatistics:
         start = result.trace.events[kinds.index(EventKind.SERVICE_START)].time
         assert result.energy[1].active_time_s == 1000.0 - start
         assert result.queue_stats[1].utilization == (1000.0 - start) / 1000.0
+        # Every message that reaches the gateway is there until the horizon.
+        at_gateway = [
+            e.time for e in result.trace.events if e.kind is EventKind.ARRIVAL and e.node == 1
+        ]
+        assert result.queue_stats[1].mean_in_system == pytest.approx(
+            sum(1000.0 - a for a in at_gateway) / 1000.0, rel=1e-12
+        )
 
 
 def scan_trace(result, topology):

@@ -5,10 +5,11 @@ is a FIFO single server fed by merged Poisson streams, so its departures
 follow Lindley's recursion D_n = max(A_n, D_{n-1}) + S_n. The oracle
 rebuilds each node's arrival times A_n and service times S_n from the
 engine's random streams (same master seed, purpose and key), runs the
-recursion, and checks the per-node statistics of ``foggrid.run`` against
-it. It builds each stream with numpy's own SeedSequence and PCG64, and
-shares no code with the event loop or the engine's bulk stream
-derivation, so a later change to either cannot defeat it.
+recursion, and checks the per-node statistics and each server's energy
+ledger of ``foggrid.run`` against it. It builds each stream with numpy's
+own SeedSequence and PCG64, and shares no code with the event loop or the
+engine's bulk stream derivation, so a later change to either cannot
+defeat it.
 """
 
 import math
@@ -36,8 +37,9 @@ def _overlap(lo, hi, w, h):
 
 
 def lindley_stats(cfg):
-    """Per serving node: samples, lambda_hat, mean_wait_s, mean_in_system
-    and utilization, from the arrival times and Lindley's recursion."""
+    """Per serving node: samples, lambda_hat, mean_wait_s, mean_in_system,
+    utilization, and busy_s, its busy time over [0, h], from the arrival
+    times and Lindley's recursion."""
     topo, h, w = cfg.topology, cfg.horizon_s, cfg.warmup_s
     by_id = topo.by_id()
     arrivals = {n.id: [] for n in topo.nodes if n.tier is not Tier.DEVICE}
@@ -67,7 +69,7 @@ def lindley_stats(cfg):
         times.sort()
         service = _draws(cfg.seed, _PURPOSE_SERVICE, (server,), by_id[server].service_rate_per_s)
         done = 0.0
-        samples, sojourn, area, busy = 0, 0.0, 0.0, 0.0
+        samples, sojourn, area, busy, busy_s = 0, 0.0, 0.0, 0.0, 0.0
         for a in times:
             start = max(a, done)
             done = start + next(service)
@@ -76,12 +78,14 @@ def lindley_stats(cfg):
                 sojourn += done - a
             area += _overlap(a, done, w, h)
             busy += _overlap(start, done, w, h)
+            busy_s += _overlap(start, done, 0.0, h)
         stats[server] = dict(
             samples=samples,
             lambda_hat=sum(a >= w for a in times) / window,
             mean_wait_s=sojourn / samples if samples else 0.0,
             mean_in_system=area / window,
             utilization=busy / window,
+            busy_s=busy_s,
         )
     return stats
 
@@ -125,3 +129,12 @@ def test_queue_stats_match_lindley_recursion(cfg):
             ("utilization", 1e-9),
         ):
             assert math.isclose(getattr(got, name), want[name], rel_tol=rel), (node, name)
+        # The energy ledger: busy time at active power, the rest at idle.
+        spec, h, busy = cfg.topology.by_id()[node].spec, cfg.horizon_s, want["busy_s"]
+        ledger = result.energy[node]
+        for name, value in (
+            ("active_time_s", busy),
+            ("idle_time_s", h - busy),
+            ("energy_mj", busy * spec.power_active_mw + (h - busy) * spec.power_idle_mw),
+        ):
+            assert math.isclose(getattr(ledger, name), value, rel_tol=1e-9), (node, name)

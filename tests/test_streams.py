@@ -27,8 +27,8 @@ SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 - 1, 2**128, 2**130 + 5)
 # Ids of one, two and three 32-bit words.
 IDS = (0, 3, 2**32 - 1, 2**32 + 7, 2**70)
 # Service keys (purpose 0, id) and arrival keys (purpose 1, target, k):
-# from two to six words, mixed in one call, and one of 21 words, past the
-# precomputed hash constants.
+# from two to six words, mixed in one call, and one of 21 words, far
+# longer than any key a run derives.
 KEYS = [(0, i) for i in IDS] + [(1, i, k) for i in IDS for k in (0, 1, 5)]
 KEYS += [(1, 2**70, 2**33), (1, 2**600, 3)]
 
