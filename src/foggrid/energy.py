@@ -28,7 +28,7 @@ class Underflow(FogGridError):
     supply."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnergyLedger:
     """Accumulated active/idle time and energy (millijoules) for one node."""
 

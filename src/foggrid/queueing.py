@@ -33,7 +33,7 @@ class MM1Metrics:
     rho: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueueStats:
     """Measured per-node statistics over the post-warmup window.
 

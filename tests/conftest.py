@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import importlib.util
 import sys
-from collections import deque
+from collections import Counter, deque
 from pathlib import Path
 from typing import Optional
 
@@ -93,6 +93,29 @@ def finite_field_scenario(field: str = "", value: str = "") -> str:
         f"    - {{rate_per_s: {values['rate_per_s']}, target: 2, "
         "payload_kind: GridTelemetry, size_bytes: 64}\n"
     )
+
+
+def count_pcg64_state(monkeypatch) -> Counter:
+    """Patch ``numpy.random.PCG64`` with a subclass that counts the reads
+    and writes of its ``state``; returns the counts, keyed "read" and
+    "write". The subclass keeps the name PCG64, which the state setter
+    checks against the state's "bit_generator" entry."""
+    counts: Counter = Counter()
+    base = np.random.PCG64
+
+    class PCG64(base):
+        @property
+        def state(self):
+            counts["read"] += 1
+            return base.state.__get__(self)
+
+        @state.setter
+        def state(self, value):
+            counts["write"] += 1
+            base.state.__set__(self, value)
+
+    monkeypatch.setattr(np.random, "PCG64", PCG64)
+    return counts
 
 
 def fog_node(node_id: int, area: int, rate: float = 1.0) -> Node:

@@ -194,6 +194,21 @@ class TestZeroWorkload:
         assert foggrid.run(cfg).messages_generated == 0
 
 
+def test_result_rows_are_slotted_and_frozen():
+    result = foggrid.run(one_area_config(horizon_s=20_000.0))
+    rows = [*result.queue_stats.values(), *result.energy.values()]
+    assert len(rows) == 6
+    for row in rows:
+        assert not hasattr(row, "__dict__")
+        values = {f.name: getattr(row, f.name) for f in dataclasses.fields(row)}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.node = 7
+        by_keyword = type(row)(**values)
+        assert row == by_keyword
+        assert dataclasses.replace(row, node=7) == dataclasses.replace(by_keyword, node=7)
+        assert dataclasses.replace(row, node=7) != row
+
+
 @pytest.fixture(scope="module")
 def long_run():
     return foggrid.run(one_area_config(horizon_s=1e6, warmup_s=1e4))

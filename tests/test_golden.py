@@ -22,7 +22,7 @@ import json
 import textwrap
 
 import pytest
-from conftest import BENCH_TINY, WORKLOADS_PY, bench_workloads
+from conftest import BENCH_TINY, WORKLOADS_PY, bench_workloads, count_pcg64_state
 
 from foggrid import Mode, RoutePattern, billing, engine, messages, parse_config, run
 from foggrid.cli import EXIT_OK, main
@@ -402,6 +402,20 @@ def test_recorded_messages():
         )
 
     assert (len(messages), _blake64(map(line, messages.values()))) == GOLDEN_MESSAGES
+
+
+def test_run_cut_below_its_first_arrival_reads_no_stream_state(monkeypatch):
+    # Each stream that draws sets the shared generator to its start once,
+    # for its first block; nothing reads the state back.
+    rc = parse_config(SCENARIOS["cloud-roaming"]).run_config
+    first = _recorded("cloud-roaming").trace.events[0]
+    assert first.kind is engine.EventKind.ARRIVAL
+    counts = count_pcg64_state(monkeypatch)
+    result = run(dataclasses.replace(rc, horizon_s=first.time / 2, warmup_s=0.0))
+    assert result.trace.event_count == 0
+    drawing = sum(proc.rate_per_s > 0 for proc in rc.arrival_processes)
+    assert drawing == 4
+    assert counts == {"write": drawing}
 
 
 def test_scenarios_cover_every_session_route():

@@ -6,7 +6,8 @@ is the definition of a stream, and every pinned digest rests on it. These
 tests compare the bulk pass with numpy's own construction, one key at a
 time, at the word-size edges of seeds and keys. One test pins the draws
 themselves as literal bytes: a comparison with numpy would follow numpy if
-a release changed how it draws.
+a release changed how it draws. Two check the draws of streams that share
+one generator against numpy's, and when a stream reads the state back.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from conftest import count_pcg64_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,8 +72,9 @@ def test_random_keys_match_numpy(seed, keys):
 
 def test_first_blocks_of_a_stream_are_pinned():
     # The first six blocks (16, 32, ... 512 values) of one stream: the
-    # ziggurat's rare rejections occur among them, and each block after the
-    # first starts from the state read back after the one before.
+    # ziggurat's rare rejections occur among them. The second block is
+    # drawn from the stream's start, the first again and then its own; each
+    # later block starts from the state read back after the one before.
     (state,) = _pcg64_states(7919, [(1, 3, 0)])
     draws = _exp_draws(np.random.Generator(np.random.PCG64(0)), state, 2.0)
     values = np.array(list(islice(draws, 16 + 32 + 64 + 128 + 256 + 512)), dtype="<f8")
@@ -80,3 +83,33 @@ def test_first_blocks_of_a_stream_are_pinned():
         f"Generator.exponential draws differently under numpy {np.__version__}: NEP 19 "
         "keeps the bit generators' streams stable across releases, not Generator methods"
     )
+
+
+def test_streams_sharing_a_generator_match_numpy():
+    # Each stream crosses its first-block boundary after the other has
+    # moved the shared generator, so a block drawn from any state but the
+    # stream's own shows.
+    seed, rates = 7919, {(1, 3, 0): 2.0, (0, 5): 0.25}
+    rng = np.random.Generator(np.random.PCG64(0))
+    streams = {
+        key: _exp_draws(rng, state, rates[key])
+        for key, state in zip(rates, _pcg64_states(seed, list(rates)))
+    }
+    drawn = {key: [] for key in rates}
+    a, b = rates
+    for key, n in ((a, 10), (b, 40), (a, 60), (b, 600)):
+        drawn[key] += islice(streams[key], n)
+    for key, rate in rates.items():
+        bitgen = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key))
+        expected = np.random.Generator(bitgen).exponential(1 / rate, len(drawn[key]))
+        assert drawn[key] == expected.tolist()
+
+
+def test_a_stream_reads_its_state_first_for_its_second_block(monkeypatch):
+    counts = count_pcg64_state(monkeypatch)
+    (state,) = _pcg64_states(7919, [(1, 3, 0)])
+    draws = _exp_draws(np.random.Generator(np.random.PCG64(0)), state, 2.0)
+    assert len(list(islice(draws, 16))) == 16
+    assert counts == {"write": 1}
+    next(draws)
+    assert counts == {"write": 2, "read": 1}
