@@ -33,7 +33,6 @@ from .reporting import (
     emit_report,
 )
 from .scenario import ScenarioConfig, load_config, with_overrides
-from .topology import InvalidTopology
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,8 +90,7 @@ def _load(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def _error_lines(exc: Exception) -> list[str]:
-    # InvalidTopology lists violations; ConfigError and InvalidRunConfig, problems.
-    lines = getattr(exc, "violations", None) or getattr(exc, "problems", None) or [exc]
+    lines = getattr(exc, "problems", None) or [exc]
     return [f"{type(exc).__name__}: {line}" for line in lines]
 
 
@@ -150,8 +148,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except FogGridError as exc:
         for line in _error_lines(exc):
             print(line, file=sys.stderr)
-        config = isinstance(exc, (ConfigError, InvalidTopology))
-        return EXIT_CONFIG if config else EXIT_RUNTIME
+        return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

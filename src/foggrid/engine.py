@@ -84,7 +84,7 @@ from .energy import (
     bess_discharge,
     mode_transition,
 )
-from .errors import FogGridError, shown
+from .errors import _ProblemsError, shown
 from .messages import (
     DEFAULT_CLASSIFICATION,
     DataClass,
@@ -105,13 +105,9 @@ _PURPOSE_ARRIVAL = 1
 _DIGEST_FLUSH = 4096
 
 
-class InvalidRunConfig(FogGridError, ValueError):
+class InvalidRunConfig(_ProblemsError, ValueError):
     """A RunConfig breaks rules of :func:`check_run_config`; ``problems``
     holds every line it returned."""
-
-    def __init__(self, problems):
-        self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
 
 
 class EventKind(Enum):
@@ -921,7 +917,7 @@ def check_run_references(cfg: RunConfig) -> list[str]:
 
 def check_run_config(cfg: RunConfig) -> list[str]:
     """Every problem that keeps ``cfg`` from running, beside the topology
-    violations of :func:`validate_topology`: the lines of
+    lines of :func:`validate_topology`: the lines of
     :func:`check_run_values`, then of :func:`check_run_references`, the
     one statement of the run rules. :func:`run` raises them as
     InvalidRunConfig; ``scenario.parse_config`` puts them under YAML paths."""
@@ -931,9 +927,9 @@ def check_run_config(cfg: RunConfig) -> list[str]:
 def run(cfg: RunConfig) -> SimResult:
     """Execute one deterministic simulation run. A config with problems
     raises InvalidTopology or InvalidRunConfig before any stream exists."""
-    violations = validate_topology(cfg.topology)
-    if violations:
-        raise InvalidTopology(violations)
+    problems = validate_topology(cfg.topology)
+    if problems:
+        raise InvalidTopology(problems)
     problems = check_run_config(cfg)
     if problems:
         raise InvalidRunConfig(problems)

@@ -9,16 +9,21 @@ class FogGridError(Exception):
     """Base class for all foggrid errors."""
 
 
-class ConfigError(FogGridError):
-    """A scenario configuration is malformed or inconsistent.
-
-    Carries the full list of problems found, one human-readable message
-    per problem, each prefixed with its location in the config.
-    """
+class _ProblemsError(FogGridError):
+    """An error that lists every problem found, one line of text each, in
+    ``problems``; its message joins the lines with ``"; "``."""
 
     def __init__(self, problems):
-        self.problems = list(problems)
+        self.problems: list[str] = list(problems)
         super().__init__("; ".join(self.problems))
+
+
+class ConfigError(_ProblemsError):
+    """A scenario configuration is malformed or inconsistent.
+
+    Each problem line is prefixed with its location in the config, or,
+    for a topology rule, with the rule's name.
+    """
 
 
 def shown(value, text=repr) -> str:

@@ -620,11 +620,11 @@ def _build(doc: Any) -> ScenarioConfig:
         raise DanglingReference(dangling)
 
     # -- topology stage ------------------------------------------------------
-    violations = validate_topology(topology)
+    problems = validate_topology(topology)
     for name in power_specs:  # also the tier defaults no node inherits
-        violations += spec_violations(tier_specs[_TIERS[name]], f"models.power_specs.{name}")
-    if violations:
-        raise InvalidTopology(violations)
+        problems += spec_violations(tier_specs[_TIERS[name]], f"models.power_specs.{name}")
+    if problems:
+        raise InvalidTopology(problems)
     return ScenarioConfig(
         run_config=run_config, c_ms=c_ms, warmup_explicit=warmup_explicit
     )
@@ -642,9 +642,9 @@ def with_mode(sc: ScenarioConfig, mode: Mode) -> ScenarioConfig:
     topo = sc.run_config.topology
     if topo.mode is not mode:
         topo = replace(topo, mode=mode)
-    violations = validate_topology(topo)
-    if violations:
-        raise InvalidTopology(violations)
+    problems = validate_topology(topo)
+    if problems:
+        raise InvalidTopology(problems)
     return replace(sc, run_config=replace(sc.run_config, topology=topo))
 
 

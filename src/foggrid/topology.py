@@ -4,8 +4,8 @@ A topology is a static description of the network the simulator runs on.
 Device-tier nodes (smart meters, sensors, EV outlets) belong to fog areas;
 each area is served by exactly one fog gateway when fog mode is enabled;
 a single cloud node sits at the top. Values are immutable after
-construction and validated by :func:`validate_topology`, which reports
-violations as data rather than raising.
+construction and validated by :func:`validate_topology`, which returns
+one line per problem rather than raising.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from enum import Enum, IntEnum
 from functools import cached_property
 from typing import Optional
 
-from .errors import FogGridError, shown
+from .errors import ConfigError, shown
 
 NodeId = int
 FogAreaId = int
@@ -28,14 +28,9 @@ FogAreaId = int
 FLOAT_MAX = sys.float_info.max
 
 
-class InvalidTopology(FogGridError):
-    """A topology failed validation; carries the violation report."""
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__(
-            "; ".join(str(v) for v in self.violations) or "invalid topology"
-        )
+class InvalidTopology(ConfigError):
+    """A topology failed validation; ``problems`` holds the lines of
+    :func:`validate_topology`."""
 
 
 class Tier(IntEnum):
@@ -186,7 +181,7 @@ class Topology:
         return index
 
     @cached_property
-    def _report(self) -> tuple[Violation, ...]:
+    def _report(self) -> tuple[str, ...]:
         return _validate(self)
 
     def node(self, node_id: NodeId) -> Node:
@@ -220,25 +215,14 @@ def make_topology(
     return Topology(nodes=tuple(nodes), fog_links=links, mode=mode)
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One broken invariant, with enough identifiers to locate it."""
-
-    code: str
-    detail: str
-
-    def __str__(self) -> str:
-        return f"{self.code}: {self.detail}"
-
-
 #: The fields of a DeviceSpec, power_idle_mw last.
 SPEC_FIELDS = tuple(f.name for f in fields(DeviceSpec))
 
 
-def spec_violations(spec: DeviceSpec, owner: str) -> list[Violation]:
-    """The spec rules for ``spec``, which ``owner`` names in each
-    violation, in the order of :func:`_spec_faults`."""
-    return [Violation(code, f"{owner}: {detail}") for code, detail in _spec_faults(spec)]
+def spec_violations(spec: DeviceSpec, owner: str) -> list[str]:
+    """One line per spec rule ``spec`` breaks, naming ``owner``, in the
+    order of :func:`_spec_faults`."""
+    return [f"{code}: {owner}: {detail}" for code, detail in _spec_faults(spec)]
 
 
 def _spec_faults(spec: DeviceSpec) -> list[tuple[str, str]]:
@@ -267,27 +251,27 @@ def _spec_faults(spec: DeviceSpec) -> list[tuple[str, str]]:
     return faults
 
 
-def validate_topology(t: Topology) -> list[Violation]:
+def validate_topology(t: Topology) -> list[str]:
     """Check every structural invariant of ``t`` in its mode.
 
-    Returns one Violation per problem; an empty list means the topology is
-    well-formed. Pure: identical inputs yield identical reports. The report
-    is built by one pass over the nodes on the first call and cached on
-    ``t`` alone, never handed to another instance; each call returns a
-    fresh list.
+    Returns one line per problem, ``"<rule>: <detail>"``; an empty list
+    means the topology is well-formed. Pure: identical inputs yield
+    identical reports. The report is built by one pass over the nodes on
+    the first call and cached on ``t`` alone, never handed to another
+    instance; each call returns a fresh list.
     """
     return list(t._report)
 
 
-def _validate(t: Topology) -> tuple[Violation, ...]:
+def _validate(t: Topology) -> tuple[str, ...]:
     """The report of ``t``, in this order: each node's id and area ranges,
     the cloud count, each node's role, area, service-rate and spec rules,
     the gateways per area, the orphan areas (fog-augmented mode only) and
     the fog links. A node's text is formatted only for a rule it breaks,
     and the spec rules run once per distinct spec: a node whose spec is
     the previous node's reuses its faults without hashing the spec."""
-    ranges: list[Violation] = []
-    rules: list[Violation] = []
+    ranges: list[str] = []
+    rules: list[str] = []
     seen: set[NodeId] = set()
     clouds: list[NodeId] = []
     fog_by_area: dict[FogAreaId, list[NodeId]] = {}
@@ -298,25 +282,22 @@ def _validate(t: Topology) -> tuple[Violation, ...]:
     for n in t.nodes:
         node_id, tier, area = n.id, n.tier, n.area
         if node_id in seen:
-            ranges.append(Violation("duplicate id", f"node id {shown(node_id)} repeats"))
+            ranges.append(f"duplicate id: node id {shown(node_id)} repeats")
         seen.add(node_id)
         if node_id < 0:
-            ranges.append(Violation("negative id", f"node id {shown(node_id)}"))
+            ranges.append(f"negative id: node id {shown(node_id)}")
         elif node_id > FLOAT_MAX:
-            detail = f"node id {shown(node_id)} is beyond the float range"
-            ranges.append(Violation("id range", detail))
+            ranges.append(f"id range: node id {shown(node_id)} is beyond the float range")
         if area is not None and area < 0:
-            detail = f"node {shown(node_id)} has area {shown(area)}"
-            ranges.append(Violation("negative area", detail))
+            ranges.append(f"negative area: node {shown(node_id)} has area {shown(area)}")
         elif area is not None and area > FLOAT_MAX:
             detail = f"node {shown(node_id)} has area {shown(area)} beyond the float range"
-            ranges.append(Violation("area range", detail))
+            ranges.append(f"area range: {detail}")
 
         if tier is Tier.CLOUD:
             clouds.append(node_id)
             if area is not None:
-                detail = f"cloud node {shown(node_id)} must not have an area"
-                rules.append(Violation("cloud area", detail))
+                rules.append(f"cloud area: cloud node {shown(node_id)} must not have an area")
         else:
             if tier is Tier.FOG and n.role not in FOG_ROLES:
                 expected = "gateway or computing"
@@ -325,64 +306,58 @@ def _validate(t: Topology) -> tuple[Violation, ...]:
             else:
                 expected = None
             if expected is not None:
-                detail = (
-                    f"{tier.name.lower()} node {shown(node_id)} has role "
+                rules.append(
+                    f"role tier mismatch: {tier.name.lower()} node {shown(node_id)} has role "
                     f"{n.role.value}; expected {expected}"
                 )
-                rules.append(Violation("role tier mismatch", detail))
             if area is None:
-                detail = f"{tier.name.lower()} node {shown(node_id)} has no area"
-                rules.append(Violation("missing area", detail))
+                rules.append(f"missing area: {tier.name.lower()} node {shown(node_id)} has no area")
             elif tier is Tier.FOG:
                 fog_by_area.setdefault(area, []).append(node_id)
             elif fog_mode and tier is Tier.DEVICE and area not in fog_by_area:
                 unserved.append(n)
         if not 0 < n.service_rate_per_s <= FLOAT_MAX:
-            detail = (
-                f"node {shown(node_id)}: service_rate_per_s must be positive and "
-                f"finite, got {shown(n.service_rate_per_s)}"
+            rules.append(
+                f"service rate: node {shown(node_id)}: service_rate_per_s must be positive "
+                f"and finite, got {shown(n.service_rate_per_s)}"
             )
-            rules.append(Violation("service rate", detail))
         if n.spec is not last_spec:
             last_spec = n.spec
             spec_faults = faults.get(last_spec)
             if spec_faults is None:
                 spec_faults = faults[last_spec] = _spec_faults(last_spec)
         for code, detail in spec_faults:
-            rules.append(Violation(code, f"node {shown(node_id)}: {detail}"))
+            rules.append(f"{code}: node {shown(node_id)}: {detail}")
 
     report = ranges
     if len(clouds) != 1:
         detail = f"expected exactly one cloud node, found {len(clouds)} ({shown(clouds)})"
-        report.append(Violation("cloud cardinality", detail))
+        report.append(f"cloud cardinality: {detail}")
     report += rules
     for area, ids in sorted(fog_by_area.items()):
         if len(ids) > 1:
             detail = f"area {shown(area)} has {len(ids)} fog nodes ({shown(ids)}); expected one"
-            report.append(Violation("fog cardinality", detail))
+            report.append(f"fog cardinality: {detail}")
     for n in unserved:
         if n.area not in fog_by_area:
             detail = f"device {shown(n.id)} is in area {shown(n.area)}, which has no fog node"
-            report.append(Violation("orphan area", detail))
+            report.append(f"orphan area: {detail}")
 
     by_id = t.by_id()
     for link in sorted(t.fog_links, key=sorted):
         ids = sorted(link)
         if len(ids) != 2:
-            report.append(Violation("self link", f"fog link {shown(ids)} joins a node to itself"))
+            report.append(f"self link: fog link {shown(ids)} joins a node to itself")
             continue
         a, b = map(shown, ids)
         for end, shown_end in zip(ids, (a, b)):
             if end not in by_id:
                 detail = f"fog link ({a}, {b}) references unknown node {shown_end}"
-                report.append(Violation("dangling link", detail))
+                report.append(f"dangling link: {detail}")
             elif by_id[end].tier is not Tier.FOG:
                 report.append(
-                    Violation(
-                        "link tier",
-                        f"fog link ({a}, {b}) endpoint {shown_end} is "
-                        f"{by_id[end].tier.name.lower()}-tier, not fog",
-                    )
+                    f"link tier: fog link ({a}, {b}) endpoint {shown_end} is "
+                    f"{by_id[end].tier.name.lower()}-tier, not fog"
                 )
 
     return tuple(report)

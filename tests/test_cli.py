@@ -1,14 +1,27 @@
 """Command-line surface: subcommands, output routing, and exit codes."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 from conftest import FINITE_FIELDS, NONFINITE_YAML, finite_field_scenario, nonfinite_line
+from test_golden import SCENARIOS as GOLDEN_SCENARIOS
 
+import foggrid
 import foggrid.cli
+from foggrid import (
+    ConfigError,
+    DanglingReference,
+    InvalidRunConfig,
+    InvalidTopology,
+    SchemaError,
+)
 from foggrid.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from foggrid.scenario import load_config
+from foggrid.scenario import load_config, parse_config
 
 SCENARIO = textwrap.dedent(
     """
@@ -284,6 +297,25 @@ class TestRun:
         assert code == EXIT_CONFIG
         assert "horizon override: must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "error", [SchemaError, DanglingReference, InvalidTopology, InvalidRunConfig]
+    )
+    def test_problem_errors_list_their_lines(self, error, monkeypatch, capsys):
+        # Each holds its lines in ``problems``; the CLI prints one per line
+        # and exits 2 for a config error, 3 for an engine precondition.
+        exc = error(iter(["a: one", "b: two"]))
+        assert exc.problems == ["a: one", "b: two"] and str(exc) == "a: one; b: two"
+        config = error is not InvalidRunConfig
+        assert isinstance(exc, ConfigError) is config
+
+        def load_failing(path):
+            raise exc
+
+        monkeypatch.setattr(foggrid.cli, "load_config", load_failing)
+        assert main(["validate", "any.yaml"]) == (EXIT_CONFIG if config else EXIT_RUNTIME)
+        name = error.__name__
+        assert capsys.readouterr().err == f"{name}: a: one\n{name}: b: two\n"
+
     def test_engine_precondition_is_runtime_error(
         self, scenario_file, monkeypatch, capsys
     ):
@@ -344,3 +376,41 @@ class TestCompare:
             a = (tmp_path / "c1" / name).read_bytes()
             b = (tmp_path / "c2" / name).read_bytes()
             assert a == b, f"{name} differs between identical runs"
+
+
+class TestModuleEntryPoint:
+    """``python -m foggrid.cli`` in a child process: the ``__main__`` guard
+    passes main's return value to ``sys.exit``."""
+
+    def validate(self, text, tmp_path):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(text, encoding="utf-8")
+        src = str(Path(foggrid.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "foggrid.cli", "validate", str(path)],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    def test_ok(self, tmp_path):
+        text = GOLDEN_SCENARIOS["fog-roaming"]
+        rc = parse_config(text).run_config
+        done = self.validate(text, tmp_path)
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        assert done.stdout == (
+            f"ok: {len(rc.topology.nodes)} nodes, {len(rc.arrival_processes)} "
+            f"arrival processes, {len(rc.sessions)} sessions\n"
+        )
+
+    def test_config_error(self, tmp_path):
+        text = "run: {horizon_s: -1}\ntopology:\n  nodes:\n    - {id: 0, tier: cloud}\n"
+        done = self.validate(text, tmp_path)
+        assert (done.returncode, done.stdout) == (EXIT_CONFIG, "")
+        assert done.stderr == (
+            "SchemaError: run.horizon_s: must be finite and positive, got -1.0\n"
+        )

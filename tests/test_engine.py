@@ -1119,13 +1119,13 @@ class TestNumbersOfAnySize:
         with pytest.raises((InvalidRunConfig, InvalidTopology)) as exc:
             foggrid.run(config_with(record, name, value))
         if record == "Node":
-            assert [str(v) for v in exc.value.violations] == [
+            assert exc.value.problems == [
                 f"{path}: {name} must be positive and finite, got {value!r}"
             ]
         elif record == "DeviceSpec":
             beyond = isinstance(value, int)
             detail = f"{name} is beyond the float range" if beyond else f"{name}={value!r}"
-            assert str(exc.value.violations[0]) == f"{path}: {detail}"
+            assert exc.value.problems[0] == f"{path}: {detail}"
         else:
             [line] = exc.value.problems
             assert line.startswith(f"{path}: ") and line.endswith(f", got {value!r}")
@@ -1137,7 +1137,7 @@ class TestNumbersOfAnySize:
         # owns the value states its range.
         with pytest.raises((InvalidRunConfig, InvalidTopology)) as exc:
             foggrid.run(config_with(record, name, value))
-        lines = getattr(exc.value, "problems", None) or [str(v) for v in exc.value.violations]
+        lines = exc.value.problems
         assert lines[0] == int_line(name, value)
 
     @pytest.mark.parametrize(
@@ -1149,7 +1149,7 @@ class TestNumbersOfAnySize:
         # bare ValueError while the line is built.
         with pytest.raises((InvalidRunConfig, InvalidTopology)) as exc:
             foggrid.run(config_with(record, name, value))
-        lines = getattr(exc.value, "problems", None) or [str(v) for v in exc.value.violations]
+        lines = exc.value.problems
         assert lines[0] == line
         assert str(exc.value)
 

@@ -39,6 +39,7 @@ from foggrid import (
     UnknownKind,
     UnknownNode,
     classify,
+    classify_route_pattern,
     open_envelope,
     resolve_route,
     seal,
@@ -255,6 +256,19 @@ class TestRouteProperties:
             expected = shortest_route_oracle(src, dst, t)
             assert expected is not None
             assert (len(route.hops), route.pattern.value) == expected
+
+    def test_pattern_follows_from_the_hops(self):
+        # The pattern resolve_route states is the one its hops imply, for
+        # every ordered pair of two grids in both modes; together they
+        # reach all five patterns.
+        seen = set()
+        for links, mode in itertools.product(((), ((0, 1),)), Mode):
+            t = grid_topology(areas=3, devices_per_area=2, links=links, mode=mode)
+            for a, b in itertools.permutations([n.id for n in t.nodes], 2):
+                r = resolve_route(a, b, t)
+                assert classify_route_pattern(r.hops, t) is r.pattern, (links, mode, a, b)
+                seen.add(r.pattern)
+        assert seen == set(RoutePattern)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))

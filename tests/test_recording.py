@@ -12,94 +12,11 @@ events alone.
 import dataclasses
 import math
 
-from conftest import grid_topology
+from conftest import session_configs
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import foggrid
-from foggrid import (
-    GRID_TELEMETRY,
-    METER_READING,
-    ArrivalProcess,
-    BessChargeEntry,
-    BessState,
-    EventKind,
-    MeterIdentity,
-    Mode,
-    RunConfig,
-    SessionPlan,
-    Tier,
-)
-
-#: Session start times on a coarse grid, so that sessions, top-ups and
-#: deliveries share instants.
-_STARTS = st.sampled_from([0.0, 5.0, 10.0, 20.0, 40.0])
-
-
-@st.composite
-def session_configs(draw):
-    areas = draw(st.integers(2, 3))
-    # A fog link between the first two areas makes ComC routes; unlinked
-    # areas climb through the cloud (ComD).
-    links = ((0, 1),) if draw(st.booleans()) else ()
-    topo = grid_topology(
-        areas=areas,
-        devices_per_area=draw(st.integers(1, 3)),
-        links=links,
-        mode=draw(st.sampled_from(Mode)),
-        fog_rate=draw(st.sampled_from([0.5, 2.0])),
-    )
-    devices = [n.id for n in topo.nodes if n.tier is Tier.DEVICE]
-    meters = st.sampled_from(devices)
-    homes = draw(st.lists(meters, min_size=1, max_size=4))
-    registry = {
-        f"ev-{i}": MeterIdentity(meter=m, owner_account=f"acct-{i}")
-        for i, m in enumerate(homes)
-    }
-    # "ev-ghost" is not registered; an outlet equal to the home meter is a
-    # self-charge, one in the same area a ComA session.
-    vehicles = st.sampled_from([*registry, "ev-ghost"])
-    sessions = draw(
-        st.lists(
-            st.builds(
-                SessionPlan,
-                vehicle_id=vehicles,
-                outlet_meter=meters,
-                start_s=_STARTS,
-                energy_kwh=st.sampled_from([0.0, 1.5, 4.0]),
-                duration_s=st.sampled_from([0.0, 5.0, 30.0]),
-            ),
-            min_size=1,
-            max_size=6,
-        )
-    )
-    bess, schedule = None, ()
-    if draw(st.booleans()):
-        soc = draw(st.sampled_from([0.0, 3.0]))
-        bess = BessState(capacity_kwh=6.0, soc_kwh=soc, efficiency=0.9)
-        schedule = tuple(
-            BessChargeEntry(at_s=at, energy_kwh=2.5)
-            for at in draw(st.lists(_STARTS, max_size=3))
-        )
-    kinds = st.sampled_from([GRID_TELEMETRY, METER_READING])
-    processes = tuple(
-        ArrivalProcess(rate_per_s=0.2, target=target, payload_kind=kind, size_bytes=64)
-        for target, kind in draw(st.lists(st.tuples(meters, kinds), max_size=2))
-    )
-    return RunConfig(
-        seed=draw(st.integers(0, 2**32 - 1)),
-        horizon_s=120.0,
-        warmup_s=draw(st.sampled_from([0.0, 10.0])),
-        topology=topo,
-        arrival_processes=processes,
-        sessions=tuple(sessions),
-        vehicle_registry=registry,
-        bess=bess,
-        bess_charge_schedule=schedule,
-        grid_available=draw(st.booleans()),
-        # A delay that rounds away: t + 5e-324 == t for every t >= 2**-1020.
-        hop_delay_s=draw(st.sampled_from([0.0, 5e-324, 0.05])),
-    )
+from foggrid import EventKind, Tier
 
 
 @settings(max_examples=60, deadline=None)

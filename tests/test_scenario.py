@@ -934,7 +934,7 @@ class TestIntegersTooLongToPrint:
     def test_shown_by_its_size(self, text, error, line):
         with pytest.raises(error) as exc:
             parse_config(text)
-        lines = getattr(exc.value, "problems", None) or [str(v) for v in exc.value.violations]
+        lines = exc.value.problems
         assert lines[0] == line
 
 
@@ -980,7 +980,7 @@ class TestDanglingReferences:
         )
         with pytest.raises(InvalidTopology) as exc:
             parse_config(text)
-        assert [str(v) for v in exc.value.violations] == [
+        assert exc.value.problems == [
             "dangling link: fog link (1, 7) references unknown node 7"
         ]
 
@@ -1016,7 +1016,7 @@ class TestDanglingReferences:
         ]
         with pytest.raises(InvalidTopology) as exc:
             parse_config(topology)
-        assert [str(v) for v in exc.value.violations] == [
+        assert exc.value.problems == [
             "dangling link: fog link (1, 7) references unknown node 7"
         ]
 
@@ -1105,7 +1105,7 @@ class TestTopologyStage:
         path.write_text(yaml.safe_dump(doc), encoding="utf-8")
         with pytest.raises(InvalidTopology) as exc:
             load_config(path)
-        assert line in [str(v) for v in exc.value.violations]
+        assert line in exc.value.problems
         assert main(["validate", str(path)]) == EXIT_CONFIG
 
     @pytest.mark.parametrize(
@@ -1149,7 +1149,7 @@ class TestTopologyStage:
         )
         with pytest.raises(InvalidTopology) as exc:
             parse_config(text)
-        assert [str(v) for v in exc.value.violations] == lines
+        assert exc.value.problems == lines
 
     def test_spec_int_beyond_float_range_as_through_the_api(self):
         # The schema reads spec ints for type only: a node's spec and a tier
@@ -1166,8 +1166,8 @@ class TestTopologyStage:
         topology = topology_module.make_topology([cloud, replace(fog, spec=fog_spec), device])
         api = topology_module.validate_topology(topology)
         api += topology_module.spec_violations(fog_spec, "models.power_specs.fog")
-        lines = [str(v) for v in exc.value.violations]
-        assert lines == [str(v) for v in api]
+        lines = exc.value.problems
+        assert lines == api
         assert "spec non-finite: node 2: cores is beyond the float range" in lines
         beyond = "spec non-finite: models.power_specs.fog: memory_mb is beyond the float range"
         assert beyond in lines
@@ -1206,7 +1206,7 @@ class TestTopologyStage:
             run(rc)
         if isinstance(exc.value, InvalidTopology):
             assert type(api_exc.value) is InvalidTopology
-            assert exc.value.violations == api_exc.value.violations
+            assert exc.value.problems == api_exc.value.problems
         else:
             assert type(api_exc.value) is InvalidRunConfig
             prefix = "run." if "seed" in old else "workload."
@@ -1224,7 +1224,7 @@ class TestTopologyStage:
         )
         with pytest.raises(InvalidTopology) as exc:
             parse_config(text)
-        assert any(v.code == "cloud cardinality" for v in exc.value.violations)
+        assert any(v.startswith("cloud cardinality: ") for v in exc.value.problems)
 
     def test_orphan_device_area(self):
         text = textwrap.dedent(
@@ -1238,7 +1238,7 @@ class TestTopologyStage:
         )
         with pytest.raises(InvalidTopology) as exc:
             parse_config(text)
-        assert any(v.code == "orphan area" for v in exc.value.violations)
+        assert any(v.startswith("orphan area: ") for v in exc.value.problems)
 
 
 class TestOverrides:

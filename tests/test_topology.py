@@ -22,7 +22,7 @@ from foggrid import (
 
 
 def codes(topology):
-    return {v.code for v in validate_topology(topology)}
+    return {v.partition(": ")[0] for v in validate_topology(topology)}
 
 
 class TestTierOrder:
@@ -119,7 +119,7 @@ class TestValidation:
     @pytest.mark.parametrize("make", [device_node, fog_node], ids=["device", "fog"])
     def test_negative_area(self, make):
         t = make_topology([cloud_node(), make(2, area=-1)], mode=Mode.CLOUD_ONLY)
-        assert [str(v) for v in validate_topology(t)] == ["negative area: node 2 has area -1"]
+        assert validate_topology(t) == ["negative area: node 2 has area -1"]
 
     def test_nonpositive_service_rate(self):
         bad = dataclasses.replace(fog_node(1, area=0), service_rate_per_s=0.0)
@@ -261,7 +261,7 @@ class TestIndexes:
 
 
 def _broken_topology(mode):
-    """Spec, fog-cardinality, orphan-area and link violations at once."""
+    """Spec, fog-cardinality, orphan-area and link problems at once."""
     bad_spec = fog_node(3, area=1)
     bad_spec = dataclasses.replace(
         bad_spec,
@@ -306,9 +306,9 @@ class TestReportOnce:
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
     def test_pinned_lines_in_order(self, mode):
         t = _broken_topology(mode)
-        assert [str(v) for v in validate_topology(t)] == PINNED_LINES[mode]
+        assert validate_topology(t) == PINNED_LINES[mode]
         # A second call reads the cached report and gives the same lines.
-        assert [str(v) for v in validate_topology(t)] == PINNED_LINES[mode]
+        assert validate_topology(t) == PINNED_LINES[mode]
 
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
     def test_with_mode_applies_the_orphan_rule_for_its_mode(self, mode):
@@ -317,7 +317,7 @@ class TestReportOnce:
             validate_topology(source)
             flipped = dataclasses.replace(source, mode=mode)
             assert flipped == _broken_topology(mode)
-            assert [str(v) for v in validate_topology(flipped)] == PINNED_LINES[mode]
+            assert validate_topology(flipped) == PINNED_LINES[mode]
 
     def test_flipped_mode_has_equal_indexes(self):
         t = grid_topology(areas=3)
