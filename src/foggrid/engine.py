@@ -18,10 +18,10 @@ shifts that one's ``k``, and so its draws. A stream is exactly numpy's
 _pcg64_states computes the states of all streams of a run in one bulk
 pass, and tests/test_streams.py and the Lindley oracle check it against
 numpy's own construction. Each stream draws its exponentials in blocks of
-16 values, doubling up to 512, through one generator per run; numpy fills
-a block element by element from the bit generator, so the values drawn do
-not depend on the block size, which lets _exp_draws read no state back
-after a stream's first block.
+16 values, doubling up to 512 and held as packed doubles, through one
+generator per run; numpy fills a block element by element from the bit
+generator, so the values drawn do not depend on the block size, which
+lets _exp_draws read no state back after a stream's first block.
 
 Events are processed in strict (time, seq) order, seq assigned at
 scheduling time. Pending events sit in a heap or in one of two FIFOs: the
@@ -45,10 +45,11 @@ Trace digest: each processed event is rendered as the text line
 ``repr(time),seq,kind,node`` + newline, where ``kind`` is the EventKind
 value (Arrival, ServiceStart, ServiceEnd, SessionStep) and ``repr`` is
 Python's shortest round-trip float form; the digest is the 8-byte BLAKE2b
-hash of the concatenated lines, in hex. (BLAKE2b-64 plays the role of the
-64-bit trace hash; it is pinned here so determinism is testable.) The
-digest needs no recording: ``Message`` and ``SimEvent`` objects are built
-only when ``record_events`` is set, and the digest is the same either way.
+hash of the concatenated lines, in hex, which the loop feeds it 512 lines
+at a time (the hash does not depend on the chunks). (BLAKE2b-64 plays the
+role of the 64-bit trace hash; it is pinned so determinism is testable.)
+The digest needs no recording: ``Message`` and ``SimEvent`` objects are
+built only when ``record_events`` is set; the digest is the same either way.
 That includes both session-protocol messages: billing.resolve_owner gives
 the request's route, billing.request_message and billing.approval_message
 are called only when recording, and the approval travels the request
@@ -59,6 +60,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -96,13 +98,14 @@ from .messages import (
     serving_node,
 )
 from .queueing import QueueStats
-from .topology import FLOAT_MAX, InvalidTopology, NodeId, Tier, Topology, validate_topology
+from .topology import FLOAT_MAX, DeviceSpec, InvalidTopology, NodeId, Tier, Topology
+from .topology import validate_topology
 
 # Purpose codes for deriving per-(node, purpose) random streams.
 _PURPOSE_SERVICE = 0
 _PURPOSE_ARRIVAL = 1
 
-_DIGEST_FLUSH = 4096
+_DIGEST_FLUSH = 512
 
 
 class InvalidRunConfig(_ProblemsError, ValueError):
@@ -373,8 +376,9 @@ def _exp_draws(rng: np.random.Generator, state: tuple[int, int], rate: float) ->
     a run share one generator. The state is read back after every block but
     the first, which is all most streams draw: the second block is drawn
     from the stream's start, after the first block's 16 values again.
-    Values are plain floats; numpy scalars must not leak into heap keys
-    (their repr differs and would change the digest)."""
+    A block is packed doubles, read from the ndarray's bytes (the ndarray
+    itself would yield numpy scalars), and yields plain floats: numpy
+    scalars in heap keys would change the digest (their repr differs)."""
     bitgen = rng.bit_generator
     s, inc = state
     scale = 1.0 / rate
@@ -388,14 +392,15 @@ def _exp_draws(rng: np.random.Generator, state: tuple[int, int], rate: float) ->
         }
         if size == 32:
             # s is still the start: draw the first block again, and drop it.
-            block = rng.exponential(scale, 16 + 32)[16:].tolist()
+            block = rng.exponential(scale, 16 + 32)[16:]
         else:
-            block = rng.exponential(scale, size).tolist()
+            block = rng.exponential(scale, size)
+        block = array("d", block.tobytes())
         if size > 16:
             s = bitgen.state["state"]["state"]
         yield from block
-        # Freed before the next block is drawn, so that the next block's
-        # floats reuse its memory and the loop's working set stays small.
+        # Freed before the next block is drawn, so that the next block
+        # reuses its memory and the loop's working set stays small.
         del block
         if size < 512:
             size *= 2
@@ -765,8 +770,10 @@ class _Engine:
         energy: dict[NodeId, EnergyLedger] = {}
         # A device only counts the messages it handles: it has no queue and
         # no busy time, so it idles to the horizon. One blank state gives
-        # every device's row.
+        # every device's row. Energy rows are accrued once per (spec, busy
+        # time) and copied: every node idle to the horizon shares its spec's.
         device = _NodeState(None)
+        rows: dict[tuple[DeviceSpec, float], EnergyLedger] = {}
         for node in sorted(self.by_id):
             st = self.servers.get(node)
             if st is None:
@@ -792,12 +799,13 @@ class _Engine:
                 st.busy_window / window or 0.0,
                 st.samples,
             )
-            energy[node] = accrue_energy(
-                EnergyLedger(node),
-                self.by_id[node].spec,
-                st.busy_total,
-                horizon - st.busy_total,
-            )
+            spec = self.by_id[node].spec
+            busy = st.busy_total
+            row = rows.get((spec, busy))
+            if row is None:
+                row = accrue_energy(EnergyLedger(node), spec, busy, horizon - busy)
+                rows[spec, busy] = row
+            energy[node] = EnergyLedger(node, row.active_time_s, row.idle_time_s, row.energy_mj)
 
         trace = SimTrace(
             digest=self.hasher.hexdigest(),

@@ -9,6 +9,7 @@ else is fast.
 import itertools
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 from conftest import cloud_node, grid_topology, make_topology, random_valid_topology, shortest_route_oracle
@@ -399,7 +400,7 @@ def test_criterion_8_compare_determinism(tmp_path, monkeypatch, capsys):
         for dirpath, _, filenames in os.walk(root):
             for name in filenames:
                 full = os.path.join(dirpath, name)
-                found[os.path.relpath(full, root)] = open(full, "rb").read()
+                found[os.path.relpath(full, root)] = Path(full).read_bytes()
         return found
 
     first = tree(tmp_path / "first")

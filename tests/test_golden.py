@@ -7,12 +7,15 @@ topology index and the native YAML loader went in; the recorded events,
 messages and nodes.csv bytes by the code as it stood before the event loop
 stopped building messages and event records it does not need; every pin of
 the same-instant scenario by the code as it stood before events scheduled
-at the current instant got a queue of their own beside the heap. A change
-that alters any of them changes simulation results and needs a documented
-reason, not a new pin. Together the scenarios cover the route patterns
-ComA, ComB, ComC, ComD and CloudDirect, both modes, a nonzero hop delay,
-sealed MeterReading traffic, billed and rejected sessions, a battery
-top-up that is curtailed at capacity, and events that share their time.
+at the current instant got a queue of their own beside the heap; every pin
+of the idle-specs scenario by the code as it stood before nodes idle to the
+horizon shared one energy row per spec. A change that alters any of them
+changes simulation results and needs a documented reason, not a new pin.
+Together the scenarios cover the route patterns ComA, ComB, ComC, ComD and
+CloudDirect, both modes, a nonzero hop delay, sealed MeterReading traffic,
+billed and rejected sessions, a battery top-up that is curtailed at
+capacity, events that share their time, and idle power under several
+specs of one tier.
 """
 
 import collections
@@ -26,6 +29,7 @@ from conftest import BENCH_TINY, WORKLOADS_PY, bench_workloads, count_pcg64_stat
 
 from foggrid import Mode, RoutePattern, billing, engine, messages, parse_config, run
 from foggrid.cli import EXIT_OK, main
+from foggrid.energy import EnergyLedger, accrue_energy
 from foggrid.messages import SealedEnvelope
 
 _TOPOLOGY = """
@@ -171,6 +175,33 @@ SCENARIOS = {
           tariff_per_kwh: 0.3
         """
     ),
+    # Idle power: the devices carry three specs (the tier's and two
+    # per-node overrides), and fog node 2 and the cloud serve nothing.
+    # Devices 3 and 6 share the device tier's idle energy row; every other
+    # idle row differs from the rest.
+    "idle-specs": textwrap.dedent(
+        """
+        run: {seed: 29, horizon_s: 1200.0, warmup_s: 20.0}
+        topology:
+          nodes:
+            - {id: 0, tier: cloud, service_rate_per_s: 0.6}
+            - {id: 1, tier: fog, area: 0, service_rate_per_s: 1.2}
+            - {id: 2, tier: fog, area: 1, service_rate_per_s: 0.9}
+            - {id: 3, tier: device, area: 0}
+            - {id: 4, tier: device, area: 0, spec: {power_idle_mw: 0.4}}
+            - {id: 5, tier: device, area: 1, spec: {power_active_mw: 2.5, power_idle_mw: 0.7}}
+            - {id: 6, tier: device, area: 1}
+        workload:
+          arrival_processes:
+            - {rate_per_s: 0.3, target: 3, payload_kind: GridTelemetry, size_bytes: 80}
+            - {rate_per_s: 0.2, target: 4, payload_kind: MeterReading, size_bytes: 120}
+        models:
+          power_specs:
+            device: {power_idle_mw: 0.25}
+            fog: {power_idle_mw: 35.0}
+            cloud: {power_idle_mw: 120.0}
+        """
+    ),
 }
 
 GOLDEN_SUMMARY = {
@@ -269,6 +300,25 @@ amount_billed: 2.1
 trace_digest: 70ea90ed481e12da
 events: 2693
 """,
+    "idle-specs": """\
+mode: fog-augmented
+seed: 29
+horizon_s: 1200
+warmup_s: 20
+nodes: 7
+messages_generated: 563
+messages_delivered: 563
+mean_wait_s: 1.36825
+total_energy_mj: 305941
+total_message_bytes: 53680
+nlogn_processing_ms: 843425
+sessions_total: 0
+sessions_billed: 0
+energy_delivered_kwh: 0
+amount_billed: 0
+trace_digest: b2600c7780023019
+events: 2252
+""",
 }
 
 GOLDEN_DIGEST = {
@@ -277,6 +327,7 @@ GOLDEN_DIGEST = {
     "island-bess": "94b9fb86ff04a3f4",
     "single-queue": "a93fbce729e3286a",
     "same-instant": "70ea90ed481e12da",
+    "idle-specs": "b2600c7780023019",
 }
 
 _NODES_HEADER = (
@@ -333,6 +384,16 @@ GOLDEN_NODES_CSV = {
 5,device,0.216092,0,0,0,0,900,0
 6,device,0.0045977,0,0,0,0,900,0
 """,
+    "idle-specs": _NODES_HEADER
+    + """\
+0,cloud,0,0,0,0,0,1200,144000
+1,fog,0.468644,1.36825,0.641224,0.3869,463.544,736.456,118021
+2,fog,0,0,0,0,0,1200,42000
+3,device,0.288983,0,0,0,0,1200,300
+4,device,0.179661,0,0,0,0,1200,480
+5,device,0,0,0,0,0,1200,840
+6,device,0,0,0,0,0,1200,300
+""",
 }
 
 #: (event count, BLAKE2b-64 of one "time,seq,kind,node,subject" line per
@@ -343,6 +404,7 @@ GOLDEN_EVENTS = {
     "island-bess": (996, "0bc4ccc8c46db21d"),
     "single-queue": (364, "fa79d32e83a0cd04"),
     "same-instant": (2693, "2489c4aba8fa813d"),
+    "idle-specs": (2252, "9c11c1db4230a57d"),
 }
 
 #: (message count, BLAKE2b-64 of one line per message, in mapping order)
@@ -387,6 +449,44 @@ def test_recorded_events(name):
     assert (len(events), result.trace.event_count) == (GOLDEN_EVENTS[name][0],) * 2
     lines = (f"{e.time!r},{e.seq},{e.kind.value},{e.node},{e.subject}\n" for e in events)
     assert _blake64(lines) == GOLDEN_EVENTS[name][1]
+
+
+@pytest.mark.parametrize("flush", (1, 7, 4096))
+@pytest.mark.parametrize("record", (False, True))
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_digest_does_not_depend_on_the_flush_size(name, record, flush, monkeypatch):
+    # The loop hashes its rendered lines every _DIGEST_FLUSH events.
+    monkeypatch.setattr(engine, "_DIGEST_FLUSH", flush)
+    rc = parse_config(SCENARIOS[name]).run_config
+    trace = run(dataclasses.replace(rc, record_events=record)).trace
+    assert (trace.digest, trace.event_count) == (GOLDEN_DIGEST[name], GOLDEN_EVENTS[name][0])
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_energy_rows_are_accrued_from_the_busy_time(name):
+    """Each node's energy row is accrue_energy's row for its spec and its
+    busy time, rebuilt from the recorded service periods (a period still
+    open closes at the horizon), in the engine's order of summation, so the
+    rows must match exactly, whether the engine accrued a row or copied an
+    idle one."""
+    rc = parse_config(SCENARIOS[name]).run_config
+    result = run(dataclasses.replace(rc, record_events=True))
+    horizon, by_id = rc.horizon_s, rc.topology.by_id()
+    periods = collections.defaultdict(lambda: ([], []))
+    for e in result.trace.events:
+        if e.kind is engine.EventKind.SERVICE_START:
+            periods[e.node][0].append(e.time)
+        elif e.kind is engine.EventKind.SERVICE_END:
+            periods[e.node][1].append(e.time)
+    assert result.energy.keys() == by_id.keys()
+    for node, ledger in result.energy.items():
+        starts, ends = periods[node]
+        closes = ends + [horizon] * (len(starts) - len(ends))
+        busy = 0.0
+        for start, end in zip(starts, closes):
+            busy += end - start
+        want = accrue_energy(EnergyLedger(node), by_id[node].spec, busy, horizon - busy)
+        assert ledger == want, node
 
 
 def test_recorded_messages():

@@ -33,6 +33,10 @@ IDS = (0, 3, 2**32 - 1, 2**32 + 7, 2**70)
 # longer than any key a run derives.
 KEYS = [(0, i) for i in IDS] + [(1, i, k) for i in IDS for k in (0, 1, 5)]
 KEYS += [(1, 2**70, 2**33), (1, 2**600, 3)]
+# Keys of one-word parts only, as every key a run derives: two and three
+# parts, up to the last one-word value.
+ONE_WORD = (0, 3, 2**31, 2**32 - 1)
+ONE_WORD_KEYS = [(0, i) for i in ONE_WORD] + [(1, i, k) for i in ONE_WORD for k in (0, 2**32 - 1)]
 
 
 def canonical(seed, key):
@@ -40,9 +44,10 @@ def canonical(seed, key):
     return state["state"]["state"], state["state"]["inc"]
 
 
+@pytest.mark.parametrize("keys", (KEYS, ONE_WORD_KEYS), ids=("mixed", "one-word"))
 @pytest.mark.parametrize("seed", SEEDS)
-def test_states_match_numpy(seed):
-    assert _pcg64_states(seed, KEYS) == [canonical(seed, key) for key in KEYS]
+def test_states_match_numpy(seed, keys):
+    assert _pcg64_states(seed, keys) == [canonical(seed, key) for key in keys]
 
 
 def test_no_keys():
