@@ -62,11 +62,11 @@ import hashlib
 import math
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from heapq import heappop, heappush
 from itertools import count
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -98,7 +98,7 @@ from .messages import (
     serving_node,
 )
 from .queueing import QueueStats
-from .topology import FLOAT_MAX, DeviceSpec, InvalidTopology, NodeId, Tier, Topology
+from .topology import FLOAT_MAX, InvalidTopology, NodeId, Tier, Topology
 from .topology import validate_topology
 
 # Purpose codes for deriving per-(node, purpose) random streams.
@@ -270,6 +270,22 @@ class _NodeState:
         self.samples = 0
 
 
+def _slot_builder(cls: type) -> Callable:
+    """The positional constructor of the frozen, slotted dataclass ``cls``,
+    generated as dataclasses generate ``__init__``, but setting each field
+    through its slot's descriptor, not ``object.__setattr__``: half the time."""
+    names = [f.name for f in fields(cls)]
+    scope = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+    scope.update(_new=object.__new__, _cls=cls)
+    sets = "".join(f"\n    _set_{name}(row, {name})" for name in names)
+    exec(f"def build({', '.join(names)}):\n    row = _new(_cls){sets}\n    return row", scope)
+    return scope["build"]
+
+
+_queue_row = _slot_builder(QueueStats)
+_energy_row = _slot_builder(EnergyLedger)
+
+
 # The key-word half of numpy's SeedSequence hash
 # (numpy/random/bit_generator.pyx) and PCG64 seeding (pcg64.h), restated so
 # that _pcg64_states runs them over every key of a run at once.
@@ -342,11 +358,12 @@ def _pcg64_states(seed: int, keys: Sequence[tuple[int, ...]]) -> list[tuple[int,
     """
     if not keys:
         return []
-    # A part below 2**32 is its own word; _words splits the rest.
-    rows = [
-        [w for part in key for w in ((part,) if 0 <= part <= _MASK32 else _words(part))]
-        for key in keys
-    ]
+    # A key of parts below 2**32, as is every key a run derives, is its
+    # own row of words; otherwise _words splits each part.
+    if all(0 <= part <= _MASK32 for key in keys for part in key):
+        rows = keys
+    else:
+        rows = [tuple(w for part in key for w in _words(part)) for key in keys]
     lengths = [len(row) for row in rows]
     longest = max(lengths)
     first = _POOL_STEPS + _POOL_SIZE * max(len(_words(seed)) - _POOL_SIZE, 0)
@@ -354,7 +371,7 @@ def _pcg64_states(seed: int, keys: Sequence[tuple[int, ...]]) -> list[tuple[int,
     # (xor, mult) of word j into pool word d, each of shape (words, 4, 1).
     later = _hash_constants(_INIT_A, _MULT_A, n_steps)[first:].reshape(longest, _POOL_SIZE, 2)
     xor, mult = later.transpose(2, 0, 1)[..., None]
-    words = np.array([row + [0] * (longest - len(row)) for row in rows], dtype=np.uint32)
+    words = np.array([row + (0,) * (longest - len(row)) for row in rows], dtype=np.uint32)
     mixer = np.random.SeedSequence(seed).pool[:, None]
     for j, hashed in enumerate(_hashmix(words.T[:, None], xor, mult)):
         # A key whose words have run out keeps its pool.
@@ -411,7 +428,7 @@ class _Engine:
         self.cfg = cfg
         t = cfg.topology
         self.topo = t
-        self.by_id = t.by_id()
+        self.by_id = by_id = t.by_id()
         self.horizon = cfg.horizon_s
         self.warmup = cfg.warmup_s
 
@@ -435,19 +452,20 @@ class _Engine:
         keys = [(_PURPOSE_SERVICE, n.id) for n in servers]
         self.proc_size: list[int] = []
         self.proc_route: list[tuple[NodeId, ...]] = []
+        add_route, add_size, add_key = self.proc_route.append, self.proc_size.append, keys.append
         rates = []
         index_at: dict[NodeId, int] = {}  # a target's last process index
         for proc in cfg.arrival_processes:
             target, rate = proc.target, proc.rate_per_s
             k = index_at[target] = index_at.get(target, -1) + 1
             if rate > 0:
-                keys.append((_PURPOSE_ARRIVAL, target, k))
+                add_key((_PURPOSE_ARRIVAL, target, k))
             rates.append(rate)
             # A device's route climbs to the node serving it, which
             # resolve_route would give too; a server's is itself.
-            serving = serving_node(self.by_id[target], t)
-            self.proc_route.append((target,) if serving == target else (target, serving))
-            self.proc_size.append(proc.size_bytes)
+            serving = serving_node(by_id[target], t)
+            add_route((target,) if serving == target else (target, serving))
+            add_size(proc.size_bytes)
         states = iter(_pcg64_states(cfg.seed, keys))
         # Its own seed is never drawn from: each block sets a stream's state.
         self.rng = np.random.Generator(np.random.PCG64(0))
@@ -482,11 +500,12 @@ class _Engine:
     # -- setup --------------------------------------------------------
 
     def _setup_processes(self) -> None:
+        horizon, spawn = self.horizon, self._spawn_process_message
         for idx, stream in enumerate(self.proc_stream):
             if stream is not None:
                 first = next(stream)
-                if first <= self.horizon:
-                    self._spawn_process_message(idx, first)
+                if first <= horizon:
+                    spawn(idx, first)
 
     def _spawn_process_message(self, idx: int, at: float) -> None:
         hops = self.proc_route[idx]
@@ -772,13 +791,16 @@ class _Engine:
         # no busy time, so it idles to the horizon. One blank state gives
         # every device's row. Energy rows are accrued once per (spec, busy
         # time) and copied: every node idle to the horizon shares its spec's.
+        # The memo keys a spec by identity, as a DeviceSpec hashes in Python;
+        # by_id keeps every spec alive, and equal specs accrue equal rows.
         device = _NodeState(None)
-        rows: dict[tuple[DeviceSpec, float], EnergyLedger] = {}
-        for node in sorted(self.by_id):
-            st = self.servers.get(node)
+        rows: dict[tuple[int, float], EnergyLedger] = {}
+        by_id, server_of, device_arrivals = self.by_id, self.servers.get, self.device_arrivals
+        for node in sorted(by_id):
+            st = server_of(node)
             if st is None:
                 st = device
-                st.arrivals_window = self.device_arrivals[node]
+                st.arrivals_window = device_arrivals[node]
             elif st.queue:
                 # Close the queue area and the open busy period at the
                 # horizon, by the loop's rules; their guards drop, as
@@ -790,8 +812,8 @@ class _Engine:
                 st.busy_window += horizon - (since if since > warmup else warmup)
             # `or 0.0` keeps a zero the shared constant: a new float per
             # device row cost metro-grid's compare 0.25 MB of peak RSS.
-            # Positional rows: keywords cost about 0.5 µs more per row.
-            stats[node] = QueueStats(
+            # A slot builder makes a frozen row in half its __init__'s time.
+            stats[node] = _queue_row(
                 node,
                 st.arrivals_window / window,
                 st.sojourn_sum / st.samples if st.samples else 0.0,
@@ -799,13 +821,14 @@ class _Engine:
                 st.busy_window / window or 0.0,
                 st.samples,
             )
-            spec = self.by_id[node].spec
+            spec = by_id[node].spec
             busy = st.busy_total
-            row = rows.get((spec, busy))
+            key = id(spec), busy
+            row = rows.get(key)
             if row is None:
                 row = accrue_energy(EnergyLedger(node), spec, busy, horizon - busy)
-                rows[spec, busy] = row
-            energy[node] = EnergyLedger(node, row.active_time_s, row.idle_time_s, row.energy_mj)
+                rows[key] = row
+            energy[node] = _energy_row(node, row.active_time_s, row.idle_time_s, row.energy_mj)
 
         trace = SimTrace(
             digest=self.hasher.hexdigest(),

@@ -4,6 +4,7 @@ trace structure, session protocol, and energy sourcing."""
 import dataclasses
 import gc
 import itertools
+import pickle
 import weakref
 
 import numpy as np
@@ -19,12 +20,14 @@ from foggrid import (
     ArrivalProcess,
     BessChargeEntry,
     BessState,
+    EnergyLedger,
     EventKind,
     FogGridError,
     InvalidRunConfig,
     InvalidTopology,
     MeterIdentity,
     MicrogridMode,
+    QueueStats,
     RoutePattern,
     RunConfig,
     SealedEnvelope,
@@ -196,6 +199,8 @@ class TestZeroWorkload:
 
 def test_result_rows_are_slotted_and_frozen():
     result = foggrid.run(one_area_config(horizon_s=20_000.0))
+    assert {type(row) for row in result.queue_stats.values()} == {QueueStats}
+    assert {type(row) for row in result.energy.values()} == {EnergyLedger}
     rows = [*result.queue_stats.values(), *result.energy.values()]
     assert len(rows) == 6
     for row in rows:
@@ -203,10 +208,24 @@ def test_result_rows_are_slotted_and_frozen():
         values = {f.name: getattr(row, f.name) for f in dataclasses.fields(row)}
         with pytest.raises(dataclasses.FrozenInstanceError):
             row.node = 7
+        # _finalize builds its rows through engine._slot_builder.
         by_keyword = type(row)(**values)
-        assert row == by_keyword
+        for twin in (row, pickle.loads(pickle.dumps(row))):
+            assert type(twin) is type(by_keyword) and twin == by_keyword
+            assert (repr(twin), hash(twin)) == (repr(by_keyword), hash(by_keyword))
         assert dataclasses.replace(row, node=7) == dataclasses.replace(by_keyword, node=7)
         assert dataclasses.replace(row, node=7) != row
+    # Like the dataclass, the builder sets the fields in order, and takes
+    # every field and no more.
+    for cls in (QueueStats, EnergyLedger):
+        names = [f.name for f in dataclasses.fields(cls)]
+        by_keyword = cls(**{name: i for i, name in enumerate(names)})
+        assert repr(engine._slot_builder(cls)(*range(len(names)))) == repr(by_keyword)
+    for values in ((1, 0.5, 1.0, 2.0, 0.3), (1, 0.5, 1.0, 2.0, 0.3, 4, 5)):
+        with pytest.raises(TypeError):
+            QueueStats(*values)
+        with pytest.raises(TypeError):
+            engine._slot_builder(QueueStats)(*values)
 
 
 @pytest.fixture(scope="module")
