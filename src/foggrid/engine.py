@@ -358,12 +358,11 @@ def _pcg64_states(seed: int, keys: Sequence[tuple[int, ...]]) -> list[tuple[int,
     """
     if not keys:
         return []
-    # A key of parts below 2**32, as is every key a run derives, is its
-    # own row of words; otherwise _words splits each part.
-    if all(0 <= part <= _MASK32 for key in keys for part in key):
-        rows = keys
-    else:
-        rows = [tuple(w for part in key for w in _words(part)) for key in keys]
+    # A part below 2**32 is its own word; _words splits the rest.
+    rows = [
+        [w for part in key for w in ((part,) if 0 <= part <= _MASK32 else _words(part))]
+        for key in keys
+    ]
     lengths = [len(row) for row in rows]
     longest = max(lengths)
     first = _POOL_STEPS + _POOL_SIZE * max(len(_words(seed)) - _POOL_SIZE, 0)
@@ -371,7 +370,7 @@ def _pcg64_states(seed: int, keys: Sequence[tuple[int, ...]]) -> list[tuple[int,
     # (xor, mult) of word j into pool word d, each of shape (words, 4, 1).
     later = _hash_constants(_INIT_A, _MULT_A, n_steps)[first:].reshape(longest, _POOL_SIZE, 2)
     xor, mult = later.transpose(2, 0, 1)[..., None]
-    words = np.array([row + (0,) * (longest - len(row)) for row in rows], dtype=np.uint32)
+    words = np.array([row + [0] * (longest - len(row)) for row in rows], dtype=np.uint32)
     mixer = np.random.SeedSequence(seed).pool[:, None]
     for j, hashed in enumerate(_hashmix(words.T[:, None], xor, mult)):
         # A key whose words have run out keeps its pool.
@@ -428,7 +427,7 @@ class _Engine:
         self.cfg = cfg
         t = cfg.topology
         self.topo = t
-        self.by_id = by_id = t.by_id()
+        self.by_id = t.by_id()
         self.horizon = cfg.horizon_s
         self.warmup = cfg.warmup_s
 
@@ -452,20 +451,19 @@ class _Engine:
         keys = [(_PURPOSE_SERVICE, n.id) for n in servers]
         self.proc_size: list[int] = []
         self.proc_route: list[tuple[NodeId, ...]] = []
-        add_route, add_size, add_key = self.proc_route.append, self.proc_size.append, keys.append
         rates = []
         index_at: dict[NodeId, int] = {}  # a target's last process index
         for proc in cfg.arrival_processes:
             target, rate = proc.target, proc.rate_per_s
             k = index_at[target] = index_at.get(target, -1) + 1
             if rate > 0:
-                add_key((_PURPOSE_ARRIVAL, target, k))
+                keys.append((_PURPOSE_ARRIVAL, target, k))
             rates.append(rate)
             # A device's route climbs to the node serving it, which
             # resolve_route would give too; a server's is itself.
-            serving = serving_node(by_id[target], t)
-            add_route((target,) if serving == target else (target, serving))
-            add_size(proc.size_bytes)
+            serving = serving_node(self.by_id[target], t)
+            self.proc_route.append((target,) if serving == target else (target, serving))
+            self.proc_size.append(proc.size_bytes)
         states = iter(_pcg64_states(cfg.seed, keys))
         # Its own seed is never drawn from: each block sets a stream's state.
         self.rng = np.random.Generator(np.random.PCG64(0))
@@ -500,12 +498,11 @@ class _Engine:
     # -- setup --------------------------------------------------------
 
     def _setup_processes(self) -> None:
-        horizon, spawn = self.horizon, self._spawn_process_message
         for idx, stream in enumerate(self.proc_stream):
             if stream is not None:
                 first = next(stream)
-                if first <= horizon:
-                    spawn(idx, first)
+                if first <= self.horizon:
+                    self._spawn_process_message(idx, first)
 
     def _spawn_process_message(self, idx: int, at: float) -> None:
         hops = self.proc_route[idx]
@@ -795,12 +792,11 @@ class _Engine:
         # by_id keeps every spec alive, and equal specs accrue equal rows.
         device = _NodeState(None)
         rows: dict[tuple[int, float], EnergyLedger] = {}
-        by_id, server_of, device_arrivals = self.by_id, self.servers.get, self.device_arrivals
-        for node in sorted(by_id):
-            st = server_of(node)
+        for node in sorted(self.by_id):
+            st = self.servers.get(node)
             if st is None:
                 st = device
-                st.arrivals_window = device_arrivals[node]
+                st.arrivals_window = self.device_arrivals[node]
             elif st.queue:
                 # Close the queue area and the open busy period at the
                 # horizon, by the loop's rules; their guards drop, as
@@ -821,7 +817,7 @@ class _Engine:
                 st.busy_window / window or 0.0,
                 st.samples,
             )
-            spec = by_id[node].spec
+            spec = self.by_id[node].spec
             busy = st.busy_total
             key = id(spec), busy
             row = rows.get(key)

@@ -33,8 +33,8 @@ IDS = (0, 3, 2**32 - 1, 2**32 + 7, 2**70)
 # longer than any key a run derives.
 KEYS = [(0, i) for i in IDS] + [(1, i, k) for i in IDS for k in (0, 1, 5)]
 KEYS += [(1, 2**70, 2**33), (1, 2**600, 3)]
-# Keys of one-word parts only, as every key a run derives: two and three
-# parts, up to the last one-word value.
+# Keys of one-word parts only, as is every key of both bench workloads:
+# two and three parts, up to the last one-word value.
 ONE_WORD = (0, 3, 2**31, 2**32 - 1)
 ONE_WORD_KEYS = [(0, i) for i in ONE_WORD] + [(1, i, k) for i in ONE_WORD for k in (0, 2**32 - 1)]
 
